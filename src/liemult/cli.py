@@ -10,9 +10,9 @@ Commands::
 
 Reports are printed as machine-readable key=value lines and are
 byte-identical for identical inputs and seeds.  Exit codes: 0 success or
-suite passed; 1 suite failure or theorem violation; 2 syntax error;
-3 invalid algebra (antisymmetry/Jacobi); 4 precondition failure (not
-nilpotent, abelian gate, not central).
+suite passed; 1 suite failure or theorem violation; 2 syntax error or
+unreadable file; 3 invalid algebra (antisymmetry/Jacobi); 4 precondition
+failure (not nilpotent, abelian gate, not central).
 """
 
 from __future__ import annotations
@@ -170,7 +170,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # unreadable input: missing, a directory, no permission, not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
     except LieconstSyntaxError as exc:

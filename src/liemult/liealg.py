@@ -98,10 +98,6 @@ class LieAlgebra:
     def is_abelian(self) -> bool:
         return not self.table
 
-    def pair_coeffs(self, i: int, j: int) -> Optional[Vector]:
-        """Stored coefficient vector of [e_i, e_j] (0-based, i < j), or None."""
-        return self._by_pair.get((i, j))
-
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[e_i, e_j] for any 0-based i, j, with the sign handled."""
         if i == j:
@@ -294,15 +290,28 @@ class SeriesReport:
         return self.nilpotency_class is not None
 
 
+def _brackets_with_basis(L: LieAlgebra, v: Sequence[Fraction]) -> list[Vector]:
+    """The nonzero [v, e_j], j = 0..n-1, formed in one pass over the table."""
+    n = L.dim
+    acc: dict[int, list[Fraction]] = {}
+    for a, b, c in L.table:
+        # [e_a, e_b] = c feeds [v, e_b] with v_a and [v, e_a] with -v_b
+        for j, f in ((b, v[a]), (a, -v[b])):
+            if f:
+                out = acc.get(j)
+                if out is None:
+                    out = acc[j] = [_ZERO] * n
+                for idx, cv in enumerate(c):
+                    if cv:
+                        out[idx] += f * cv
+    return [tuple(out) for _, out in sorted(acc.items()) if any(out)]
+
+
 def _bracket_span(L: LieAlgebra, s: Subspace) -> Subspace:
     """[L, S] as a canonical subspace."""
     vecs = []
-    for r in range(s.dim):
-        row = s.basis.row(r)
-        for j in range(L.dim):
-            v = L._bracket_vec_basis(row, j)
-            if any(v):
-                vecs.append(v)
+    for row in s.basis_rows():
+        vecs.extend(_brackets_with_basis(L, row))
     return Subspace.from_vectors(L.dim, vecs)
 
 
@@ -328,13 +337,8 @@ def is_ideal(L: LieAlgebra, s: Subspace) -> bool:
     """True iff [L, S] is contained in S."""
     if s.ambient_dim != L.dim:
         raise AmbientMismatch(f"subspace ambient {s.ambient_dim} != dim {L.dim}")
-    for r in range(s.dim):
-        row = s.basis.row(r)
-        for j in range(L.dim):
-            v = L._bracket_vec_basis(row, j)
-            if any(v) and not contains(s, v):
-                return False
-    return True
+    return all(contains(s, v) for row in s.basis_rows()
+               for v in _brackets_with_basis(L, row))
 
 
 def quotient(L: LieAlgebra, k: Subspace) -> tuple[LieAlgebra, Matrix]:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, NamedTuple, Sequence, Union
+from math import gcd, lcm
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 Rational = Fraction  # the scalar field for everything in this package
 
@@ -137,9 +137,6 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise SingularMatrix(f"{self.rows}x{self.cols} matrix is not square")
@@ -221,63 +218,112 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(Matrix(m.rows, m.cols, flat), tuple(pivots))
 
 
-def _int_rows(m: Matrix) -> list[list[int]]:
-    """Rows rescaled to integers (common denominator cleared per row)."""
-    out = []
-    for r in range(m.rows):
-        row = m.row(r)
-        scale = 1
-        for x in row:
-            d = x.denominator
-            scale = scale * d // gcd(scale, d)
-        ints = [int(x.numerator * (scale // x.denominator)) for x in row]
-        if any(ints):
-            out.append(ints)
-    return out
+class SparseMatrix:
+    """Exact matrix held as sparse integer columns over one common denominator.
+
+    ``columns`` maps a column index to ``{row index: numerator}``; entry
+    (r, c) is ``columns[c][r] / denom``.  Zero numerators and empty
+    columns are dropped on construction, so storage and every pass over
+    the matrix grow with its nonzero entries, not with ``rows x cols``.
+    """
+
+    __slots__ = ("rows", "cols", "denom", "columns")
+
+    def __init__(self, rows: int, cols: int, denom: int,
+                 columns: dict[int, dict[int, int]]) -> None:
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimensions")
+        if denom < 1:
+            raise ValueError(f"common denominator must be positive, got {denom}")
+        self.rows = rows
+        self.cols = cols
+        self.denom = denom
+        self.columns: dict[int, dict[int, int]] = {}
+        for c, col in columns.items():
+            nz = {r: x for r, x in col.items() if x}
+            if nz:
+                self.columns[c] = nz
+
+    def at(self, r: int, c: int) -> Fraction:
+        col = self.columns.get(c)
+        return Fraction(col.get(r, 0) if col else 0, self.denom)
+
+    def iter_rows(self) -> Iterator[Vector]:
+        """Dense rows of Fractions, as ``Matrix.iter_rows`` yields them."""
+        by_row: dict[int, dict[int, int]] = {}
+        for c, col in self.columns.items():
+            for r, x in col.items():
+                by_row.setdefault(r, {})[c] = x
+        zero_row = (_ZERO,) * self.cols
+        for r in range(self.rows):
+            entries = by_row.get(r)
+            if not entries:
+                yield zero_row
+                continue
+            row = list(zero_row)
+            for c, x in entries.items():
+                row[c] = Fraction(x, self.denom)
+            yield tuple(row)
+
+    def __repr__(self) -> str:
+        nnz = sum(len(col) for col in self.columns.values())
+        return f"SparseMatrix({self.rows}x{self.cols}, nnz={nnz}, denom={self.denom})"
 
 
-def _echelon_rank(rows: list[list[int]], ncols: int) -> int:
-    """Fraction-free (one-step Bareiss) elimination; rows are consumed."""
-    rk = 0
-    prev = 1
-    nrows = len(rows)
-    for c in range(ncols):
-        if rk == nrows:
-            break
-        # smallest-magnitude pivot limits coefficient growth
-        piv, piv_abs = -1, 0
-        for i in range(rk, nrows):
-            a = rows[i][c]
-            if a:
-                aa = -a if a < 0 else a
-                if piv < 0 or aa < piv_abs:
-                    piv, piv_abs = i, aa
-                    if aa == 1:
-                        break
-        if piv < 0:
-            continue
-        if piv != rk:
-            rows[rk], rows[piv] = rows[piv], rows[rk]
-        prow = rows[rk]
-        pv = prow[c]
-        tail = prow[c:]
-        for i in range(rk + 1, nrows):
-            ri = rows[i]
-            a = ri[c]
-            if a:
-                ri[c:] = [(pv * x - a * y) // prev for x, y in zip(ri[c:], tail)]
-            elif pv != prev:
-                ri[c:] = [(pv * x) // prev for x in ri[c:]]
-        prev = pv
-        rk += 1
-    return rk
+def _integer_rows(m: Matrix) -> Iterator[dict[int, int]]:
+    """Nonzero rows of a dense matrix as sparse integer vectors (row denominators cleared)."""
+    for row in m.iter_rows():
+        nz = {c: x for c, x in enumerate(row) if x}
+        if nz:
+            scale = lcm(*(x.denominator for x in nz.values()))
+            yield {c: x.numerator * (scale // x.denominator) for c, x in nz.items()}
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank: denominators cleared per row, then fraction-free elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return _echelon_rank(_int_rows(m), m.cols)
+def _echelon_size(vectors: Iterable[dict[int, int]]) -> int:
+    """Exact rank of sparse integer vectors by fraction-free elimination.
+
+    Vectors are taken fewest nonzeros first, the Markowitz choice that
+    keeps fill-in low.  Each is reduced against the echelon built so
+    far: its smallest index is the pivot, a stored vector with the same
+    pivot is cancelled by integer cross-multiplication, and the content
+    (gcd of the entries) is divided out so the integers stay small.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    for v in sorted(vectors, key=len):
+        v = dict(v)
+        while v:
+            p = min(v)
+            piv = echelon.get(p)
+            if piv is None:
+                g = gcd(*v.values())
+                if g != 1:
+                    v = {c: x // g for c, x in v.items()}
+                echelon[p] = v
+                break
+            a, b = piv[p], v[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            # v <- a*v - b*piv cancels v[p]
+            if a != 1:
+                v = {c: a * x for c, x in v.items()}
+            for c, x in piv.items():
+                y = v.get(c, 0) - b * x
+                if y:
+                    v[c] = y
+                else:
+                    v.pop(c, None)
+            if a != 1 and v:
+                g = gcd(*v.values())
+                if g != 1:
+                    v = {c: x // g for c, x in v.items()}
+    return len(echelon)
+
+
+def rank(m: Union[Matrix, SparseMatrix]) -> int:
+    """Exact rank of a dense or sparse matrix, by one fraction-free sparse elimination."""
+    if isinstance(m, SparseMatrix):
+        return _echelon_size(m.columns.values())
+    return _echelon_size(_integer_rows(m))
 
 
 @dataclass(frozen=True)

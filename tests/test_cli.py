@@ -86,6 +86,22 @@ def test_exit_code_missing_file(capsys):
     assert err
 
 
+def test_exit_code_directory_argument(capsys, tmp_path):
+    code, out, err = run(capsys, "info", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_exit_code_file_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.lie"
+    path.write_bytes("# caf\xe9\ndim 3\n[e1,e2] = e3\n".encode("latin-1"))
+    code, out, err = run(capsys, "multiplier", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_exit_code_invalid_algebra(capsys, tmp_path):
     path = tmp_path / "jacobi.lie"
     path.write_text("dim 3\n[e1,e2] = e3\n[e1,e3] = e1\n")

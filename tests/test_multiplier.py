@@ -1,5 +1,8 @@
 """Multiplier dimension via the exterior boundaries, plus the bound checks."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 from liemult.catalog import (
@@ -10,8 +13,8 @@ from liemult.catalog import (
     l_3_4_1_4,
     l_4_5_2_4,
 )
-from liemult.liealg import NotNilpotent, build, center
-from liemult.linalg import Subspace, rank, vector
+from liemult.liealg import NotNilpotent, build, center, change_of_basis
+from liemult.linalg import Matrix, Subspace, rank, vector
 from liemult.multiplier import (
     NotCentral,
     ce_d2,
@@ -22,13 +25,23 @@ from liemult.multiplier import (
     schur_multiplier_dim,
     tensor_term_dim,
 )
-from liemult.randgen import Lcg, random_change_of_basis
+from liemult.randgen import Lcg, random_change_of_basis, random_unimodular
+
+
+def _is_zero(m):
+    return all(x == 0 for row in m.iter_rows() for x in row)
+
+
+def _compose(d2, d3):
+    """d2 . d3 entry by entry through the read interface, as a list of rows."""
+    return [[sum(d2.at(t, p) * d3.at(p, c) for p in range(d3.rows))
+             for c in range(d3.cols)] for t in range(d2.rows)]
 
 
 def test_d2_abelian_is_zero():
     d2 = ce_d2(abelian(4).algebra)
     assert d2.rows == 4 and d2.cols == 6
-    assert d2.is_zero()
+    assert _is_zero(d2)
 
 
 def test_d2_heisenberg_rank_one():
@@ -43,12 +56,12 @@ def test_d2_l3414_rank_two():
 def test_d3_abelian_is_zero():
     d3 = ce_d3(abelian(4).algebra)
     assert d3.rows == 6 and d3.cols == 4
-    assert d3.is_zero()
+    assert _is_zero(d3)
 
 
 def test_d3_heisenberg1_is_zero():
     # d3(e1^e2^e3) = e3^e3 = 0
-    assert ce_d3(heisenberg(1).algebra).is_zero()
+    assert _is_zero(ce_d3(heisenberg(1).algebra))
 
 
 def test_d3_l3414_image():
@@ -168,7 +181,8 @@ def test_complex_is_exact_on_samples():
     algebras += [random_change_of_basis(a, rng) for a in algebras]
     for alg in algebras:
         d2, d3 = ce_d2(alg), ce_d3(alg)
-        assert d2.mul(d3).is_zero()
+        assert d2.cols == d3.rows
+        assert all(x == 0 for row in _compose(d2, d3) for x in row)
 
 
 def test_dim_m_invariant_under_basis_change():
@@ -216,3 +230,72 @@ def test_complex_not_exact_flags_invalid_table():
                 validate=False)
     with pytest.raises(ComplexNotExact):
         schur_multiplier_dim.__wrapped__(bad)
+
+
+def test_schur_dim_closed_forms_at_scale():
+    # one bracket in dimension 45, and no bracket in dimension 300: the
+    # boundaries are built from the table, so neither touches the
+    # C(n,2) x C(n,3) shape
+    assert schur_multiplier_dim(heisenberg_plus_abelian(1, 42).algebra).dim_m == 947
+    rep = schur_multiplier_dim(abelian(300).algebra)
+    assert (rep.dim_m, rep.rank_d2, rep.rank_d3) == (44850, 0, 0)
+
+
+def _filiform(n):
+    return build(n, [(1, i, [1 if c == i + 1 else 0 for c in range(1, n + 1)])
+                     for i in range(2, n)])
+
+
+def _oracle_cases():
+    bases = [("H(2)", heisenberg(2).algebra), ("L3414", l_3_4_1_4().algebra),
+             ("L4524", l_4_5_2_4().algebra), ("L4524plusA1", l4524_plus_a1().algebra),
+             ("filiform(6)", _filiform(6))]
+    cases = []
+    for seed, (label, alg) in enumerate(bases, 31):
+        n = alg.dim
+        u = random_unimodular(n, Lcg(seed), steps=12 * n)
+        moved = change_of_basis(alg, u)
+        cases += [pytest.param(alg, id=label), pytest.param(moved, id=f"{label}@unimodular")]
+        # halving and tripling two basis vectors puts denominators 2 and 3
+        # into the structure constants
+        scale = [Fraction(1, 2), Fraction(1, 3)] + [1] * (n - 2)
+        p = Matrix.from_rows([[s * x for x in row] for s, row in zip(scale, u.iter_rows())])
+        rational = change_of_basis(alg, p)
+        assert ce_d2(rational).denom > 1
+        cases.append(pytest.param(rational, id=f"{label}@rational"))
+    return cases
+
+
+@pytest.mark.parametrize("alg", _oracle_cases())
+def test_boundaries_match_sympy_oracle(alg):
+    """d2 and d3 entry by entry, and their ranks, against sympy over QQ."""
+    sympy = pytest.importorskip("sympy")
+    n = alg.dim
+    pairs = list(combinations(range(n), 2))
+    triples = list(combinations(range(n), 3))
+    row_of = {p: r for r, p in enumerate(pairs)}
+    table = {(i, j): c for i, j, c in alg.table}
+
+    def br(i, j):
+        c = table.get((i, j))
+        return [sympy.Rational(x.numerator, x.denominator) for x in c] if c else [0] * n
+
+    d2 = sympy.zeros(n, len(pairs))
+    for col, (i, j) in enumerate(pairs):
+        for t, x in enumerate(br(i, j)):
+            d2[t, col] = x
+    d3 = sympy.zeros(len(pairs), len(triples))
+    for col, (i, j, k) in enumerate(triples):
+        for (a, b), t, sign in (((i, j), k, 1), ((i, k), j, -1), ((j, k), i, 1)):
+            for m, x in enumerate(br(a, b)):
+                if m != t:
+                    # e_m ^ e_t = -(e_t ^ e_m)
+                    d3[row_of[(min(m, t), max(m, t))], col] += sign * x * (1 if m < t else -1)
+
+    ours2, ours3 = ce_d2(alg), ce_d3(alg)
+    for ours, oracle in ((ours2, d2), (ours3, d3)):
+        assert (ours.rows, ours.cols) == oracle.shape
+        assert all(ours.at(r, c) == oracle[r, c]
+                   for r in range(ours.rows) for c in range(ours.cols))
+    assert rank(ours2) == d2.rank()
+    assert rank(ours3) == d3.rank()
