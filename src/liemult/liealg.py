@@ -6,9 +6,15 @@ is built from outside input; algebras derived from valid ones (direct
 sums, quotients by ideals, base changes) are valid by construction and
 skip the re-check.
 
-Derived subalgebra, center, lower central series, ideal tests, quotients
-and base changes all reduce to the exact subspace machinery in
-:mod:`liemult.linalg`.
+The table's denominators are cleared in one place, ``_integer_table``;
+the Jacobi check, the lower central series and the boundary maps of
+:mod:`liemult.multiplier` all work on that integer table.  The Jacobi
+check sums each stored bracket's contribution into its sorted triple,
+so its cost grows with the nonzero structure constants.  Each term of
+the lower central series is reduced by the exact fraction-free echelon
+kernel that also computes ``linalg.rank``.  Derived subalgebra, center,
+ideal tests, quotients and base changes reduce to the exact subspace
+machinery in :mod:`liemult.linalg`.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import (
@@ -23,6 +30,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _echelon,
     contains,
     kernel_basis,
     subspace_sum,
@@ -218,23 +226,64 @@ def jacobi_defect(L: LieAlgebra, i: int, j: int, k: int) -> Vector:
     return tuple(x + y + z for x, y, z in zip(a, b, c))
 
 
+def _integer_table(L: LieAlgebra) -> tuple[int, list]:
+    """The table as integer numerators over its least common denominator.
+
+    Returns ``(denom, brackets)``; each bracket is ``(i, j, [(m, a), ...])``
+    with ``a / denom`` the nonzero coefficient of e_m in [e_i, e_j].
+    """
+    denom = lcm(*(x.denominator for _, _, c in L.table for x in c if x))
+    return denom, [(i, j, [(m, x.numerator * (denom // x.denominator))
+                           for m, x in enumerate(c) if x])
+                   for i, j, c in L.table]
+
+
+def _adjoint(n: int, table: list) -> list[dict[int, list[tuple[int, int]]]]:
+    """``ad[m][t]`` lists the integer coefficients of [e_m, e_t], for nonzero brackets only."""
+    ad: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n)]
+    for a, b, coeffs in table:
+        ad[a][b] = coeffs
+        ad[b][a] = [(r, -y) for r, y in coeffs]
+    return ad
+
+
 def first_jacobi_violation(
     L: LieAlgebra,
 ) -> Optional[tuple[tuple[int, int, int], Vector]]:
     """First (lexicographic) triple with nonzero Jacobi defect, or None.
 
-    Only triples touching a stored bracket can have a nonzero defect, so
-    the scan is cheap for sparse tables.
+    Each stored bracket [e_a,e_b] meets every third index t once: it adds
+    [[e_a,e_b],e_t] to the defect of the sorted triple {a, b, t}, with
+    sign -1 exactly when t sits between a and b.  The sums are kept in
+    integers over denom^2, and only the nonzero [e_m, e_t] are visited,
+    so the cost grows with the nonzero structure constants.
     """
-    candidates: set[tuple[int, int, int]] = set()
-    for (i, j) in L._by_pair:
-        for k in range(L.dim):
-            if k != i and k != j:
-                candidates.add(tuple(sorted((i, j, k))))  # type: ignore[arg-type]
-    for (i, j, k) in sorted(candidates):
-        defect = jacobi_defect(L, i, j, k)
-        if any(defect):
-            return (i, j, k), defect
+    n = L.dim
+    denom, table = _integer_table(L)
+    ad = _adjoint(n, table)
+    sums: dict[tuple[int, int, int], dict[int, int]] = {}
+    for a, b, coeffs in table:
+        for m, x in coeffs:
+            # [[e_a,e_b], e_t] = sum over m of x_m [e_m, e_t]
+            for t, image in ad[m].items():
+                if t < a:
+                    key, f = (t, a, b), x
+                elif a < t < b:
+                    key, f = (a, t, b), -x
+                elif t > b:
+                    key, f = (a, b, t), x
+                else:
+                    continue
+                acc = sums.get(key)
+                if acc is None:
+                    acc = sums[key] = {}
+                for r, y in image:
+                    acc[r] = acc.get(r, 0) + f * y
+    for key in sorted(sums):
+        acc = sums[key]
+        if any(acc.values()):
+            scale = denom * denom
+            return key, tuple(Fraction(acc.get(r, 0), scale) for r in range(n))
     return None
 
 
@@ -307,28 +356,41 @@ def _brackets_with_basis(L: LieAlgebra, v: Sequence[Fraction]) -> list[Vector]:
     return [tuple(out) for _, out in sorted(acc.items()) if any(out)]
 
 
-def _bracket_span(L: LieAlgebra, s: Subspace) -> Subspace:
-    """[L, S] as a canonical subspace."""
-    vecs = []
-    for row in s.basis_rows():
-        vecs.extend(_brackets_with_basis(L, row))
-    return Subspace.from_vectors(L.dim, vecs)
+def _integer_brackets(ad: list, v: dict[int, int]) -> list[dict[int, int]]:
+    """The nonzero [v, e_t] for a sparse integer vector v, as sparse integer vectors."""
+    out: dict[int, dict[int, int]] = {}
+    for m, x in v.items():
+        for t, image in ad[m].items():
+            acc = out.get(t)
+            if acc is None:
+                acc = out[t] = {}
+            for r, y in image:
+                acc[r] = acc.get(r, 0) + x * y
+    return [nz for nz in ({r: y for r, y in acc.items() if y}
+                          for acc in out.values()) if nz]
 
 
 @lru_cache(maxsize=None)
 def lower_central_series(L: LieAlgebra) -> SeriesReport:
-    """Dims of L >= [L,L] >= [L,[L,L]] >= ... until zero or stabilization."""
+    """Dims of L >= [L,L] >= [L,[L,L]] >= ... until zero or stabilization.
+
+    Each term is spanned by the [v, e_t] for v in a spanning set of the
+    previous one, formed in integers from the table and reduced by the
+    echelon kernel; only dimensions are reported, so the echelon is not
+    reduced further.
+    """
     n = L.dim
+    ad = _adjoint(n, _integer_table(L)[1])
     dims = [n]
-    cur = Subspace.full(n)
+    cur: list[dict[int, int]] = [{i: 1} for i in range(n)]
     derived_dim = 0
-    while cur.dim > 0:
-        nxt = _bracket_span(L, cur)
+    while cur:
+        nxt = list(_echelon(w for v in cur for w in _integer_brackets(ad, v)).values())
         if len(dims) == 1:
-            derived_dim = nxt.dim
-        if nxt.dim == cur.dim:
+            derived_dim = len(nxt)
+        if len(nxt) == len(cur):
             return SeriesReport(tuple(dims), None, derived_dim, center(L).dim)
-        dims.append(nxt.dim)
+        dims.append(len(nxt))
         cur = nxt
     return SeriesReport(tuple(dims), len(dims) - 1, derived_dim, center(L).dim)
 

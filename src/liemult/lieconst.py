@@ -153,8 +153,3 @@ def render(L: LieAlgebra) -> str:
 def load(path: str) -> LieAlgebra:
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read())
-
-
-def dump(L: LieAlgebra, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render(L))

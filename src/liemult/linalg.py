@@ -100,12 +100,6 @@ class Matrix:
         for r in range(self.rows):
             yield self.row(r)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(
-            self.entries[r * self.cols + c]
-            for c in range(self.cols) for r in range(self.rows)
-        ))
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise AmbientMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
@@ -279,8 +273,11 @@ def _integer_rows(m: Matrix) -> Iterator[dict[int, int]]:
             yield {c: x.numerator * (scale // x.denominator) for c, x in nz.items()}
 
 
-def _echelon_size(vectors: Iterable[dict[int, int]]) -> int:
-    """Exact rank of sparse integer vectors by fraction-free elimination.
+def _echelon(vectors: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Row echelon form of sparse integer vectors by fraction-free elimination.
+
+    Returns the echelon keyed by pivot index; its size is the exact rank
+    and its vectors span what the input spans (they are not reduced).
 
     Vectors are taken fewest nonzeros first, the Markowitz choice that
     keeps fill-in low.  Each is reduced against the echelon built so
@@ -316,14 +313,14 @@ def _echelon_size(vectors: Iterable[dict[int, int]]) -> int:
                 g = gcd(*v.values())
                 if g != 1:
                     v = {c: x // g for c, x in v.items()}
-    return len(echelon)
+    return echelon
 
 
 def rank(m: Union[Matrix, SparseMatrix]) -> int:
     """Exact rank of a dense or sparse matrix, by one fraction-free sparse elimination."""
     if isinstance(m, SparseMatrix):
-        return _echelon_size(m.columns.values())
-    return _echelon_size(_integer_rows(m))
+        return len(_echelon(m.columns.values()))
+    return len(_echelon(_integer_rows(m)))
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from typing import Optional
 
 from .liealg import (
     LieAlgebra,
     NotNilpotent,
+    _integer_table,
     center,
     derived_subalgebra,
     direct_sum,
@@ -40,18 +41,6 @@ class ComplexNotExact(RuntimeError):
 
 class NotCentral(ValueError):
     """The given ideal is not contained in the center."""
-
-
-def _integer_table(L: LieAlgebra) -> tuple[int, list]:
-    """The table as integer numerators over its least common denominator.
-
-    Returns ``(denom, brackets)``; each bracket is ``(i, j, [(m, a), ...])``
-    with ``a / denom`` the nonzero coefficient of e_m in [e_i, e_j].
-    """
-    denom = lcm(*(x.denominator for _, _, c in L.table for x in c if x))
-    return denom, [(i, j, [(m, x.numerator * (denom // x.denominator))
-                           for m, x in enumerate(c) if x])
-                   for i, j, c in L.table]
 
 
 def _pair_offsets(n: int) -> list[int]:

@@ -141,3 +141,28 @@ def test_cli_reports_are_pinned(capsys, tmp_path, label):
 def test_suite_reports_are_pinned(suite):
     lines = run_suite(suite, 4, 3, 9, 7).lines()
     assert _digest("\n".join(lines) + "\n") == SUITE_SHA256[suite]
+
+
+INVALID_FILES = {
+    "integral": (
+        "dim 6\n[e1,e2] = e3\n[e1,e3] = e4\n[e1,e4] = e5\n[e2,e3] = e5\n"
+        "[e3,e4] = e6 - 2 e1\n",
+        "error: Jacobi identity fails on (e1,e2,e4): defect -2*e1 + 1*e6\n",
+    ),
+    "rational": (
+        "dim 6\n[e1,e2] = 1/2 e3\n[e1,e3] = 2/3 e4\n[e1,e4] = 3/4 e5\n"
+        "[e2,e3] = 3/5 e5\n[e4,e5] = 4/9 e6 + 1/2 e2\n",
+        "error: Jacobi identity fails on (e1,e3,e5): defect 1/3*e2 + 8/27*e6\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INVALID_FILES))
+def test_invalid_file_stderr_is_pinned(capsys, tmp_path, kind):
+    text, stderr = INVALID_FILES[kind]
+    path = tmp_path / "invalid.lie"
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code = main(["classify", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", stderr)

@@ -1,5 +1,8 @@
 """Lie algebra construction, validation and the subalgebra machinery."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 from liemult.catalog import (
@@ -14,6 +17,8 @@ from liemult.liealg import (
     DuplicateBracket,
     IndexOutOfRange,
     JacobiViolation,
+    _brackets_with_basis,
+    _make,
     build,
     center,
     change_of_basis,
@@ -26,7 +31,12 @@ from liemult.liealg import (
     quotient,
 )
 from liemult.linalg import Matrix, Subspace, vector
-from liemult.randgen import Lcg, random_change_of_basis, random_central_quotient
+from liemult.randgen import (
+    Lcg,
+    random_central_quotient,
+    random_change_of_basis,
+    random_unimodular,
+)
 
 
 def e(n, k):
@@ -254,3 +264,109 @@ def test_population_jacobi_defect_is_zero():
         algebras.append(q)
     for alg in algebras:
         assert first_jacobi_violation(alg) is None
+
+
+_SMALL_CATALOG = [heisenberg(1).algebra, heisenberg(2).algebra,
+                  heisenberg_plus_abelian(1, 2).algebra,
+                  heisenberg_plus_abelian(2, 1).algebra,
+                  l_3_4_1_4().algebra, l_4_5_2_4().algebra, l4524_plus_a1().algebra]
+
+
+def _draw_rational(rng):
+    return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+
+
+def _random_table(rng):
+    """A seeded table of dim 2..7 with constants p/q, q in {1, 2, 3}.
+
+    Every third draw is sparse and random (almost always invalid), the
+    others are rational base changes of catalog algebras (valid), half
+    of them with one constant perturbed (mostly invalid).
+    """
+    kind = rng.randint(0, 2)
+    if kind == 0:
+        n = rng.randint(2, 7)
+        mapping = {}
+        for i, j in combinations(range(n), 2):
+            if rng.randint(0, 2) == 0:
+                mapping[(i, j)] = [_draw_rational(rng) if rng.randint(0, 2) == 0 else 0
+                                   for _ in range(n)]
+        return _make(n, mapping, validate=False)
+    alg = rng.choice(_SMALL_CATALOG)
+    n = alg.dim
+    u = random_unimodular(n, rng, steps=3 * n)
+    scale = [Fraction(rng.randint(1, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+    alg = change_of_basis(alg, Matrix.from_rows(
+        [[s * x for x in row] for s, row in zip(scale, u.iter_rows())]))
+    if kind == 2 and alg.table:
+        mapping = {(i, j): list(c) for i, j, c in alg.table}
+        c = mapping[rng.choice(sorted(mapping))]
+        c[rng.randint(0, n - 1)] += Fraction(rng.randint(1, 2), rng.choice((1, 2, 3)))
+        alg = _make(n, mapping, validate=False)
+    return alg
+
+
+def _brute_force_violation(alg):
+    for i, j, k in combinations(range(alg.dim), 3):
+        defect = jacobi_defect(alg, i, j, k)
+        if any(defect):
+            return (i, j, k), defect
+    return None
+
+
+def test_first_jacobi_violation_matches_brute_force_scan():
+    rng = Lcg(41)
+    invalid = 0
+    for _ in range(1200):
+        alg = _random_table(rng)
+        expected = _brute_force_violation(alg)
+        assert first_jacobi_violation(alg) == expected
+        invalid += expected is not None
+    # both outcomes are exercised in earnest
+    assert 300 < invalid < 900
+
+
+def _reference_lcs_dims(alg):
+    """Fraction reference: each term rebuilt as a canonical subspace."""
+    n = alg.dim
+    dims = [n]
+    cur = Subspace.full(n)
+    while cur.dim > 0:
+        nxt = Subspace.from_vectors(
+            n, [v for row in cur.basis_rows() for v in _brackets_with_basis(alg, row)])
+        if nxt.dim == cur.dim:
+            break
+        dims.append(nxt.dim)
+        cur = nxt
+    return tuple(dims)
+
+
+def _filiform(n):
+    return build(n, [(1, k, e(n, k + 1)) for k in range(2, n)])
+
+
+def test_lower_central_series_matches_fraction_reference():
+    rng = Lcg(42)
+    algebras = [
+        build(3, [(1, 2, e(3, 3)), (1, 3, e(3, 2)), (2, 3, e(3, 1))]),
+        build(2, [(1, 2, e(2, 2))]),
+        _filiform(7),
+        direct_sum(_filiform(5), build(2, [(1, 2, e(2, 2))])),
+    ]
+    for alg in _SMALL_CATALOG + [_filiform(6)]:
+        n = alg.dim
+        u = random_unimodular(n, rng, steps=6 * n)
+        algebras.append(change_of_basis(alg, u))
+        scale = [Fraction(1, 2), Fraction(3)] + [Fraction(2, 3)] * (n - 2)
+        algebras.append(change_of_basis(alg, Matrix.from_rows(
+            [[s * x for x in row] for s, row in zip(scale, u.iter_rows())])))
+        for _ in range(3):
+            q = random_central_quotient(alg, rng)
+            if q is not None:
+                algebras.append(q)
+    stalled = 0
+    for alg in algebras:
+        dims = lower_central_series(alg).lcs_dims
+        assert dims == _reference_lcs_dims(alg)
+        stalled += dims[-1] != 0
+    assert stalled == 3
