@@ -5,128 +5,16 @@ derived subalgebra, center, lower central series, Schur multiplier
 dimension (second homology of the exterior chain complex), the defect
 invariants t and s, and classification of nilpotent algebras with
 s in {0, 1, 2} into their catalog families.
+
+The top level exports the three entry points of the README; everything
+else is imported from its module (``liemult.catalog``, ``liemult.liealg``,
+``liemult.verify``, ...).
 """
 
-from .catalog import (
-    CatalogEntry,
-    abelian,
-    heisenberg,
-    heisenberg_plus_abelian,
-    l4524_plus_a1,
-    l_3_4_1_4,
-    l_4_5_2_4,
-)
-from .classifier import (
-    AbelianAlgebra,
-    ClassificationResult,
-    Fingerprint,
-    Status,
-    classify,
-    fingerprint,
-    lemma_l1_gate,
-)
-from .liealg import (
-    DuplicateBracket,
-    IndexOutOfRange,
-    JacobiViolation,
-    LieAlgebra,
-    NotAnIdeal,
-    NotNilpotent,
-    SeriesReport,
-    bracket,
-    build,
-    center,
-    change_of_basis,
-    derived_subalgebra,
-    direct_sum,
-    is_ideal,
-    lower_central_series,
-    quotient,
-)
-from .lieconst import LieconstSyntaxError, parse, render
-from .linalg import (
-    AmbientMismatch,
-    Matrix,
-    Rational,
-    SingularMatrix,
-    Subspace,
-    contains,
-    kernel_basis,
-    rank,
-    row_space,
-    rref,
-    subspace_intersect,
-    subspace_sum,
-)
-from .multiplier import (
-    ComplexNotExact,
-    MultiplierReport,
-    NotCentral,
-    ce_d2,
-    ce_d3,
-    check_defect_bounds,
-    check_kunneth,
-    check_quotient_bound,
-    schur_multiplier_dim,
-    tensor_term_dim,
-)
+from .classifier import classify
+from .liealg import build
+from .multiplier import schur_multiplier_dim
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianAlgebra",
-    "AmbientMismatch",
-    "CatalogEntry",
-    "ClassificationResult",
-    "ComplexNotExact",
-    "DuplicateBracket",
-    "Fingerprint",
-    "IndexOutOfRange",
-    "JacobiViolation",
-    "LieAlgebra",
-    "LieconstSyntaxError",
-    "Matrix",
-    "MultiplierReport",
-    "NotAnIdeal",
-    "NotCentral",
-    "NotNilpotent",
-    "Rational",
-    "SeriesReport",
-    "SingularMatrix",
-    "Status",
-    "Subspace",
-    "abelian",
-    "bracket",
-    "build",
-    "ce_d2",
-    "ce_d3",
-    "center",
-    "change_of_basis",
-    "check_defect_bounds",
-    "check_kunneth",
-    "check_quotient_bound",
-    "classify",
-    "contains",
-    "derived_subalgebra",
-    "direct_sum",
-    "fingerprint",
-    "heisenberg",
-    "heisenberg_plus_abelian",
-    "is_ideal",
-    "kernel_basis",
-    "l4524_plus_a1",
-    "l_3_4_1_4",
-    "l_4_5_2_4",
-    "lemma_l1_gate",
-    "lower_central_series",
-    "parse",
-    "quotient",
-    "rank",
-    "render",
-    "row_space",
-    "rref",
-    "schur_multiplier_dim",
-    "subspace_intersect",
-    "subspace_sum",
-    "tensor_term_dim",
-]
+__all__ = ["build", "classify", "schur_multiplier_dim"]

@@ -7,14 +7,16 @@ sums, quotients by ideals, base changes) are valid by construction and
 skip the re-check.
 
 The table's denominators are cleared in one place, ``_integer_table``;
-the Jacobi check, the lower central series and the boundary maps of
-:mod:`liemult.multiplier` all work on that integer table.  The Jacobi
-check sums each stored bracket's contribution into its sorted triple,
-so its cost grows with the nonzero structure constants.  Each term of
-the lower central series is reduced by the exact fraction-free echelon
-kernel that also computes ``linalg.rank``.  Derived subalgebra, center,
-ideal tests, quotients and base changes reduce to the exact subspace
-machinery in :mod:`liemult.linalg`.
+the Jacobi check, the center, the lower central series, the ideal test
+and the boundary maps of :mod:`liemult.multiplier` all work on that
+integer table.  The Jacobi check sums each stored bracket's contribution
+into its sorted triple, so its cost grows with the nonzero structure
+constants.  The center is the kernel of the stacked adjoint, built as
+sparse integer rows; each term of the lower central series, and the
+test [L, S] ⊆ S, is echeloned by the exact fraction-free kernel that
+also computes ``linalg.rank``.  Derived subalgebra, quotients and base
+changes use the subspace machinery in :mod:`liemult.linalg`, which runs
+on the same kernel.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from .linalg import (
     Subspace,
     Vector,
     _echelon,
+    _integer_rows,
+    _kernel,
     contains,
-    kernel_basis,
     subspace_sum,
     unit_vector,
     vec_mat,
@@ -287,10 +290,6 @@ def first_jacobi_violation(
     return None
 
 
-def bracket(L: LieAlgebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-    return L.bracket(x, y)
-
-
 @lru_cache(maxsize=None)
 def derived_subalgebra(L: LieAlgebra) -> Subspace:
     """Canonical span of all brackets [e_i, e_j], i < j."""
@@ -299,30 +298,20 @@ def derived_subalgebra(L: LieAlgebra) -> Subspace:
 
 @lru_cache(maxsize=None)
 def center(L: LieAlgebra) -> Subspace:
-    """{ x : [x, e_j] = 0 for all j }, as the kernel of the stacked adjoint."""
+    """{ x : [x, e_j] = 0 for all j }, as the kernel of the stacked adjoint.
+
+    Row (j, t) of the stacked adjoint holds, at index m, the integer
+    coefficient of e_t in [e_m, e_j]; only nonzero brackets give entries.
+    """
     n = L.dim
-    if n == 0:
-        return Subspace.zero(0)
-    rows: dict[tuple[int, int], list[Fraction]] = {}
-
-    def row_for(j: int, t: int) -> list[Fraction]:
-        key = (j, t)
-        r = rows.get(key)
-        if r is None:
-            r = rows[key] = [_ZERO] * n
-        return r
-
-    for i, j, c in L.table:
-        for t, cv in enumerate(c):
-            if cv:
-                # constraint block "[x, e_j] = 0": column m carries the
-                # coefficient of e_t in [e_m, e_j]
-                row_for(j, t)[i] += cv
-                row_for(i, t)[j] -= cv
-    if not rows:
+    if L.is_abelian:
         return Subspace.full(n)
-    ordered = [rows[key] for key in sorted(rows)]
-    return kernel_basis(Matrix.from_rows(ordered, cols=n))
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for i, j, coeffs in _integer_table(L)[1]:
+        for t, x in coeffs:
+            rows.setdefault((j, t), {})[i] = x
+            rows.setdefault((i, t), {})[j] = -x
+    return _kernel(n, rows.values())
 
 
 @dataclass(frozen=True)
@@ -337,23 +326,6 @@ class SeriesReport:
     @property
     def is_nilpotent(self) -> bool:
         return self.nilpotency_class is not None
-
-
-def _brackets_with_basis(L: LieAlgebra, v: Sequence[Fraction]) -> list[Vector]:
-    """The nonzero [v, e_j], j = 0..n-1, formed in one pass over the table."""
-    n = L.dim
-    acc: dict[int, list[Fraction]] = {}
-    for a, b, c in L.table:
-        # [e_a, e_b] = c feeds [v, e_b] with v_a and [v, e_a] with -v_b
-        for j, f in ((b, v[a]), (a, -v[b])):
-            if f:
-                out = acc.get(j)
-                if out is None:
-                    out = acc[j] = [_ZERO] * n
-                for idx, cv in enumerate(c):
-                    if cv:
-                        out[idx] += f * cv
-    return [tuple(out) for _, out in sorted(acc.items()) if any(out)]
 
 
 def _integer_brackets(ad: list, v: dict[int, int]) -> list[dict[int, int]]:
@@ -396,11 +368,12 @@ def lower_central_series(L: LieAlgebra) -> SeriesReport:
 
 
 def is_ideal(L: LieAlgebra, s: Subspace) -> bool:
-    """True iff [L, S] is contained in S."""
+    """True iff [L, S] is contained in S, i.e. adding the [v, e_t] keeps the echelon's size."""
     if s.ambient_dim != L.dim:
         raise AmbientMismatch(f"subspace ambient {s.ambient_dim} != dim {L.dim}")
-    return all(contains(s, v) for row in s.basis_rows()
-               for v in _brackets_with_basis(L, row))
+    rows = list(_integer_rows(s.basis))
+    ad = _adjoint(L.dim, _integer_table(L)[1])
+    return len(_echelon(rows + [w for v in rows for w in _integer_brackets(ad, v)])) == s.dim
 
 
 def quotient(L: LieAlgebra, k: Subspace) -> tuple[LieAlgebra, Matrix]:

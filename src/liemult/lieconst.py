@@ -43,6 +43,14 @@ def _fail(message: str, line: int, column: int) -> None:
     raise LieconstSyntaxError(message, line, column)
 
 
+def _int(digits: str, line: int, column: int) -> int:
+    """A decimal literal, or a syntax error where int() refuses it for length."""
+    try:
+        return int(digits)
+    except ValueError:
+        _fail(f"number of {len(digits)} digits is too long", line, column)
+
+
 def _parse_terms(rhs: str, lineno: int, offset: int, dim: int) -> tuple[Fraction, ...]:
     """Parse 'c1 ek1 + c2 ek2 - ...' into a coefficient vector."""
     coeffs = [_ZERO] * dim
@@ -75,8 +83,8 @@ def _parse_terms(rhs: str, lineno: int, offset: int, dim: int) -> tuple[Fraction
         coeff = Fraction(1)
         m = _NUM_RE.match(rhs, pos)
         if m:
-            num = int(m.group(1))
-            den = int(m.group(2)) if m.group(2) else 1
+            num = _int(m.group(1), lineno, offset + m.start(1) + 1)
+            den = _int(m.group(2), lineno, offset + m.start(2) + 1) if m.group(2) else 1
             if den == 0:
                 _fail("zero denominator", lineno, offset + pos + 1)
             coeff = Fraction(num, den)
@@ -86,7 +94,7 @@ def _parse_terms(rhs: str, lineno: int, offset: int, dim: int) -> tuple[Fraction
         m = _BASIS_RE.match(rhs, pos)
         if not m:
             _fail("expected basis vector eK", lineno, offset + pos + 1)
-        k = int(m.group(1))
+        k = _int(m.group(1), lineno, offset + m.start(1) + 1)
         if not (1 <= k <= dim):
             _fail(f"basis index e{k} outside 1..{dim}", lineno, offset + pos + 1)
         pos = m.end()
@@ -114,12 +122,13 @@ def parse(text: str) -> LieAlgebra:
             m = _DIM_RE.match(stripped)
             if not m:
                 _fail("expected 'dim N' header", lineno, col)
-            dim = int(m.group(1))
+            dim = _int(m.group(1), lineno, col + m.start(1))
             continue
         m = _LHS_RE.match(stripped)
         if not m:
             _fail("expected bracket line '[ei,ej] = ...'", lineno, col)
-        i, j = int(m.group(1)), int(m.group(2))
+        i = _int(m.group(1), lineno, col + m.start(1))
+        j = _int(m.group(2), lineno, col + m.start(2))
         rhs = stripped[m.end():]
         coeffs = _parse_terms(rhs, lineno, col - 1 + m.end(), dim)
         brackets.append((i, j, coeffs))

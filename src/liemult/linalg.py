@@ -1,14 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Canonical reduced row echelon forms, ranks, kernels, and the subspace
-lattice (span, sum, intersection, membership), all over
-``fractions.Fraction``.  Rank decisions are exact by construction; no
-floating point enters anywhere.
+Ranks, kernels, inverses and the subspace lattice (span, sum,
+intersection, membership).  Scalars are ``fractions.Fraction``; every
+elimination runs on one kernel, ``_echelon``, a fraction-free echelon
+of sparse integer vectors, and ``_subspace`` back-substitutes its
+output to the canonical reduced rows.  Rank decisions are exact by
+construction; no floating point enters anywhere.
 
 Subspaces are kept canonical: the basis is the reduced row echelon form
-of any spanning set, with strictly increasing pivot columns and no zero
-rows.  Two ``Subspace`` values therefore compare equal exactly when they
-describe the same subspace.
+of any spanning set, with unit pivots in strictly increasing columns,
+zeros above each pivot and no zero rows.  Two ``Subspace`` values
+therefore compare equal exactly when they describe the same subspace.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
-
-Rational = Fraction  # the scalar field for everything in this package
+from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 Vector = tuple[Fraction, ...]
@@ -100,22 +100,6 @@ class Matrix:
         for r in range(self.rows):
             yield self.row(r)
 
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise AmbientMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for r in range(self.rows):
-            row = self.row(r)
-            for c in range(other.cols):
-                acc = _ZERO
-                for k, x in enumerate(row):
-                    if x:
-                        y = other.entries[k * other.cols + c]
-                        if y:
-                            acc += x * y
-                out.append(acc)
-        return Matrix(self.rows, other.cols, tuple(out))
-
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise AmbientMismatch(f"vector length {len(v)} != cols {self.cols}")
@@ -137,15 +121,13 @@ class Matrix:
         n = self.rows
         aug = Matrix.from_rows(
             [list(self.row(r)) + list(unit_vector(n, r)) for r in range(n)],
-            cols=2 * n if n else 0,
+            cols=2 * n,
         )
-        if n == 0:
-            return self
-        reduced, pivots = rref(aug)
-        if pivots != tuple(range(n)):
+        echelon = _echelon(_integer_rows(aug))
+        if sorted(echelon) != list(range(n)):
             raise SingularMatrix("matrix is singular")
         return Matrix.from_rows(
-            [reduced.row(r)[n:] for r in range(n)], cols=n
+            [row[n:] for row in _subspace(2 * n, echelon).basis_rows()], cols=n
         )
 
     def __repr__(self) -> str:
@@ -171,45 +153,6 @@ def vec_mat(v: Sequence[Fraction], m: Matrix) -> Vector:
                 if y:
                     out[c] += x * y
     return tuple(out)
-
-
-class RrefResult(NamedTuple):
-    matrix: Matrix
-    pivots: tuple[int, ...]
-
-
-def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row echelon form with its pivot columns.
-
-    Leftmost-pivot, unit-leading-entry convention; the result has the
-    same shape as the input (zero rows sink to the bottom).
-    """
-    rows = [list(m.row(r)) for r in range(m.rows)]
-    pivots: list[int] = []
-    rk = 0
-    for c in range(m.cols):
-        if rk == len(rows):
-            break
-        piv = next((i for i in range(rk, len(rows)) if rows[i][c]), -1)
-        if piv < 0:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        prow = rows[rk]
-        pv = prow[c]
-        if pv != 1:
-            inv = _ONE / pv
-            rows[rk] = prow = [x * inv for x in prow]
-        for i in range(len(rows)):
-            if i != rk:
-                a = rows[i][c]
-                if a:
-                    ri = rows[i]
-                    # columns before c of prow are zero, skip them
-                    ri[c:] = [x - a * y for x, y in zip(ri[c:], prow[c:])]
-        pivots.append(c)
-        rk += 1
-    flat = tuple(x for row in rows for x in row)
-    return RrefResult(Matrix(m.rows, m.cols, flat), tuple(pivots))
 
 
 class SparseMatrix:
@@ -297,23 +240,75 @@ def _echelon(vectors: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
                     v = {c: x // g for c, x in v.items()}
                 echelon[p] = v
                 break
-            a, b = piv[p], v[p]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            # v <- a*v - b*piv cancels v[p]
-            if a != 1:
-                v = {c: a * x for c, x in v.items()}
-            for c, x in piv.items():
-                y = v.get(c, 0) - b * x
-                if y:
-                    v[c] = y
-                else:
-                    v.pop(c, None)
-            if a != 1 and v:
-                g = gcd(*v.values())
-                if g != 1:
-                    v = {c: x // g for c, x in v.items()}
+            v = _cancel(v, piv, p)
     return echelon
+
+
+def _cancel(v: dict[int, int], piv: dict[int, int], p: int) -> dict[int, int]:
+    """``a*v - b*piv`` with ``a/b = piv[p]/v[p]`` in lowest terms, so entry p cancels.
+
+    ``v`` is updated in place when ``a`` is 1; otherwise the scaled copy
+    has its content divided out.
+    """
+    a, b = piv[p], v[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        v = {c: a * x for c, x in v.items()}
+    for c, x in piv.items():
+        y = v.get(c, 0) - b * x
+        if y:
+            v[c] = y
+        else:
+            v.pop(c, None)
+    if a != 1 and v:
+        g = gcd(*v.values())
+        if g != 1:
+            v = {c: x // g for c, x in v.items()}
+    return v
+
+
+def _back_substitute(echelon: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The echelon with every entry at another vector's pivot cancelled.
+
+    Vectors are taken from the largest pivot down; those already done
+    are zero at every other pivot, so cancelling one of them from a
+    vector changes it only at that pivot and at non-pivot indices.
+    """
+    reduced: dict[int, dict[int, int]] = {}
+    for p in sorted(echelon, reverse=True):
+        v = dict(echelon[p])
+        for q in [c for c in v if c in reduced]:
+            v = _cancel(v, reduced[q], q)
+        reduced[p] = v
+    return reduced
+
+
+def _subspace(n: int, echelon: dict[int, dict[int, int]]) -> "Subspace":
+    """Canonical subspace of Q^n spanned by an echelon of sparse integer vectors."""
+    entries = []
+    reduced = _back_substitute(echelon)
+    for p in sorted(reduced):
+        v = reduced[p]
+        row = [_ZERO] * n
+        for c, x in v.items():
+            row[c] = Fraction(x, v[p])
+        entries.extend(row)
+    return Subspace(n, Matrix(len(reduced), n, tuple(entries)))
+
+
+def _kernel(n: int, vectors: Iterable[dict[int, int]]) -> "Subspace":
+    """Canonical subspace of the x in Q^n orthogonal to every given vector."""
+    reduced = _back_substitute(_echelon(vectors))
+    # x_f = d on a free index f forces x_p = -d * v[f] / v[p] for the
+    # reduced vector v of each pivot p; d keeps every entry integral
+    d = lcm(*(v[p] for p, v in reduced.items()))
+    free = {f: {f: d} for f in range(n) if f not in reduced}
+    for p, v in reduced.items():
+        for c, x in v.items():
+            if c != p:
+                free[c][p] = -x * (d // v[p])
+    return _subspace(n, _echelon(free.values()))
 
 
 def rank(m: Union[Matrix, SparseMatrix]) -> int:
@@ -364,28 +359,12 @@ class Subspace:
 
 def row_space(m: Matrix) -> Subspace:
     """Canonical subspace spanned by the rows of ``m``."""
-    reduced, pivots = rref(m)
-    rows = [reduced.row(r) for r in range(len(pivots))]
-    return Subspace(m.cols, Matrix.from_rows(rows, cols=m.cols))
+    return _subspace(m.cols, _echelon(_integer_rows(m)))
 
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Canonical basis of the right kernel { v : m v = 0 }."""
-    reduced, pivots = rref(m)
-    n = m.cols
-    pivot_set = set(pivots)
-    vecs = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        v = [_ZERO] * n
-        v[f] = _ONE
-        for r, p in enumerate(pivots):
-            coef = reduced.at(r, f)
-            if coef:
-                v[p] = -coef
-        vecs.append(v)
-    return Subspace.from_vectors(n, vecs)
+    return _kernel(m.cols, _integer_rows(m))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -396,31 +375,19 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """A ∩ B by Zassenhaus: echelon the rows (a|a) and (b|0) in Q^2n.
+
+    The echelon vectors pivoting in the right half are (0|w), and their
+    w span A ∩ B.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch(f"ambient dims {a.ambient_dim} != {b.ambient_dim}")
     n = a.ambient_dim
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(n)
-    # columns = basis vectors of a then b; kernel rows give the vanishing
-    # combinations, whose a-part sweeps out the intersection
-    cols = a.dim + b.dim
-    grid = []
-    for coord in range(n):
-        row = [a.basis.at(i, coord) for i in range(a.dim)]
-        row += [b.basis.at(i, coord) for i in range(b.dim)]
-        grid.append(row)
-    ker = kernel_basis(Matrix.from_rows(grid, cols=cols))
-    vecs = []
-    for w in ker.basis_rows():
-        v = [_ZERO] * n
-        for i in range(a.dim):
-            if w[i]:
-                arow = a.basis.row(i)
-                for c in range(n):
-                    if arow[c]:
-                        v[c] += w[i] * arow[c]
-        vecs.append(v)
-    return Subspace.from_vectors(n, vecs)
+    rows = [{**v, **{c + n: x for c, x in v.items()}} for v in _integer_rows(a.basis)]
+    rows.extend(_integer_rows(b.basis))
+    echelon = _echelon(rows)
+    return _subspace(n, {p - n: {c - n: x for c, x in v.items()}
+                         for p, v in echelon.items() if p >= n})
 
 
 def contains(a: Subspace, v: Sequence[Fraction]) -> bool:

@@ -174,30 +174,24 @@ def run_bounds(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
     return _report("bounds", results)
 
 
-KUNNETH_POOL: tuple[str, ...] = (
-    "A(0)", "A(1)", "A(2)", "A(3)", "H(1)", "H(2)", "H(3)", "L3414", "L4524",
-)
-
-
 def run_kunneth(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
                 max_n: int = DEFAULT_MAX_N, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Direct-sum additivity, both sides computed independently."""
-    algebras = {
-        "A(0)": catalog.abelian(0).algebra,
-        "A(1)": catalog.abelian(1).algebra,
-        "A(2)": catalog.abelian(2).algebra,
-        "A(3)": catalog.abelian(3).algebra,
-        "H(1)": catalog.heisenberg(1).algebra,
-        "H(2)": catalog.heisenberg(2).algebra,
-        "H(3)": catalog.heisenberg(3).algebra,
-        "L3414": catalog.l_3_4_1_4().algebra,
-        "L4524": catalog.l_4_5_2_4().algebra,
-    }
+    pool = [
+        ("A(0)", catalog.abelian(0).algebra),
+        ("A(1)", catalog.abelian(1).algebra),
+        ("A(2)", catalog.abelian(2).algebra),
+        ("A(3)", catalog.abelian(3).algebra),
+        ("H(1)", catalog.heisenberg(1).algebra),
+        ("H(2)", catalog.heisenberg(2).algebra),
+        ("H(3)", catalog.heisenberg(3).algebra),
+        ("L3414", catalog.l_3_4_1_4().algebra),
+        ("L4524", catalog.l_4_5_2_4().algebra),
+    ]
     results = []
-    names = list(KUNNETH_POOL)
-    for i, n1 in enumerate(names):
-        for n2 in names[i:]:
-            chk = check_kunneth(algebras[n1], algebras[n2])
+    for i, (n1, l1) in enumerate(pool):
+        for n2, l2 in pool[i:]:
+            chk = check_kunneth(l1, l2)
             results.append(_case(
                 f"kunneth[{n1}|{n2}]", chk.holds,
                 f"lhs={chk.lhs} rhs={chk.rhs}"

@@ -80,6 +80,22 @@ def test_exit_code_syntax_error(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("text, line, column", [
+    ("dim " + "9" * 5000 + "\n", 1, 5),
+    ("dim 3\n[e1,e2] = " + "7" * 5000 + " e3\n", 2, 11),
+    ("dim 3\n[e1,e" + "2" * 5000 + "] = e3\n", 2, 6),
+], ids=["dim", "coefficient", "index"])
+def test_exit_code_oversized_literal(capsys, tmp_path, text, line, column):
+    # int() refuses decimal literals beyond the interpreter's digit limit
+    path = tmp_path / "long.lie"
+    path.write_text(text)
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: line {line}, column {column}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_exit_code_missing_file(capsys):
     code, _, err = run(capsys, "info", "/nonexistent/thing.lie")
     assert code == 2

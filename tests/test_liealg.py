@@ -17,7 +17,6 @@ from liemult.liealg import (
     DuplicateBracket,
     IndexOutOfRange,
     JacobiViolation,
-    _brackets_with_basis,
     _make,
     build,
     center,
@@ -30,7 +29,7 @@ from liemult.liealg import (
     lower_central_series,
     quotient,
 )
-from liemult.linalg import Matrix, Subspace, vector
+from liemult.linalg import Matrix, Subspace, contains, subspace_sum, vector
 from liemult.randgen import (
     Lcg,
     random_central_quotient,
@@ -155,6 +154,10 @@ def test_is_ideal_examples():
     for alg in (l_3_4_1_4().algebra, l_4_5_2_4().algebra):
         assert is_ideal(alg, derived_subalgebra(alg))
         assert is_ideal(alg, center(alg))
+    # [e1,e2] = e4 stays in span(e1, e4) but [e1,e3] = e5 leaves it
+    alg = build(5, [(1, 2, e(5, 4)), (1, 3, e(5, 5))])
+    assert not is_ideal(alg, Subspace.from_vectors(5, [e(5, 1), e(5, 4)]))
+    assert is_ideal(alg, Subspace.from_vectors(5, [e(5, 1), e(5, 4), e(5, 5)]))
 
 
 def test_quotient_heisenberg_by_center_is_abelian():
@@ -326,17 +329,43 @@ def test_first_jacobi_violation_matches_brute_force_scan():
     assert 300 < invalid < 900
 
 
-def _reference_lcs_dims(alg):
-    """Fraction reference: each term rebuilt as a canonical subspace."""
+def _brackets_with_basis(L, v):
+    """The nonzero [v, e_j], j = 0..n-1, formed in Fractions from the table."""
+    n = L.dim
+    acc = {}
+    for a, b, c in L.table:
+        # [e_a, e_b] = c feeds [v, e_b] with v_a and [v, e_a] with -v_b
+        for j, f in ((b, v[a]), (a, -v[b])):
+            if f:
+                out = acc.setdefault(j, [Fraction(0)] * n)
+                for idx, cv in enumerate(c):
+                    out[idx] += f * cv
+    return [tuple(out) for _, out in sorted(acc.items()) if any(out)]
+
+
+def _sympy_rows(sympy, vecs):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v]
+                         for v in vecs])
+
+
+def _from_sympy(rows):
+    return [tuple(Fraction(int(x.p), int(x.q)) for x in row) for row in rows]
+
+
+def _reference_lcs_dims(sympy, alg):
+    """Reference: each term spanned by the Fraction brackets of the last, reduced by sympy."""
     n = alg.dim
     dims = [n]
-    cur = Subspace.full(n)
-    while cur.dim > 0:
-        nxt = Subspace.from_vectors(
-            n, [v for row in cur.basis_rows() for v in _brackets_with_basis(alg, row)])
-        if nxt.dim == cur.dim:
+    cur = [tuple(Fraction(x) for x in e(n, k)) for k in range(1, n + 1)]
+    while cur:
+        vecs = [v for row in cur for v in _brackets_with_basis(alg, row)]
+        nxt = []
+        if vecs:
+            reduced, pivots = _sympy_rows(sympy, vecs).rref()
+            nxt = _from_sympy(reduced.row(r) for r in range(len(pivots)))
+        if len(nxt) == len(cur):
             break
-        dims.append(nxt.dim)
+        dims.append(len(nxt))
         cur = nxt
     return tuple(dims)
 
@@ -346,6 +375,7 @@ def _filiform(n):
 
 
 def test_lower_central_series_matches_fraction_reference():
+    sympy = pytest.importorskip("sympy")
     rng = Lcg(42)
     algebras = [
         build(3, [(1, 2, e(3, 3)), (1, 3, e(3, 2)), (2, 3, e(3, 1))]),
@@ -367,6 +397,51 @@ def test_lower_central_series_matches_fraction_reference():
     stalled = 0
     for alg in algebras:
         dims = lower_central_series(alg).lcs_dims
-        assert dims == _reference_lcs_dims(alg)
+        assert dims == _reference_lcs_dims(sympy, alg)
         stalled += dims[-1] != 0
     assert stalled == 3
+
+
+def _base_changes(rng):
+    """Small catalog algebras with an integral and a rational base change of each."""
+    algebras = []
+    for alg in _SMALL_CATALOG + [_filiform(6), abelian(3).algebra]:
+        n = alg.dim
+        u = random_unimodular(n, rng, steps=6 * n)
+        scale = [Fraction(rng.randint(1, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+        algebras += [alg, change_of_basis(alg, u), change_of_basis(alg, Matrix.from_rows(
+            [[x * y for y in row] for x, row in zip(scale, u.iter_rows())]))]
+    return algebras
+
+
+def test_center_matches_sympy_nullspace():
+    sympy = pytest.importorskip("sympy")
+    for alg in _base_changes(Lcg(43)):
+        n = alg.dim
+        # row (j, t), column m: the coefficient of e_t in [e_m, e_j]
+        adjoint = sympy.Matrix(n * n, n, lambda r, m: sympy.Rational(
+            alg.bracket_basis(m, r // n)[r % n]))
+        nullspace = adjoint.nullspace()
+        expected = []
+        if nullspace:
+            reduced, pivots = sympy.Matrix.hstack(*nullspace).T.rref()
+            expected = _from_sympy(reduced.row(r) for r in range(len(pivots)))
+        assert list(center(alg).basis_rows()) == expected
+
+
+def test_is_ideal_matches_bracket_membership():
+    rng = Lcg(44)
+    ideals = 0
+    for alg in _base_changes(rng):
+        n = alg.dim
+        for _ in range(4):
+            s = Subspace.from_vectors(n, [[rng.randint(-1, 1) for _ in range(n)]
+                                          for _ in range(rng.randint(0, n))])
+            if rng.randint(0, 1):
+                # every subspace containing [L, L] is an ideal
+                s = subspace_sum(s, derived_subalgebra(alg))
+            expected = all(contains(s, alg.bracket(row, tuple(Fraction(x) for x in e(n, j))))
+                           for row in s.basis_rows() for j in range(1, n + 1))
+            assert is_ideal(alg, s) == expected
+            ideals += expected
+    assert 30 < ideals < 90

@@ -13,10 +13,10 @@ from liemult.linalg import (
     kernel_basis,
     rank,
     row_space,
-    rref,
     subspace_intersect,
     subspace_sum,
     unit_vector,
+    vec_mat,
     vector,
 )
 from liemult.randgen import Lcg
@@ -26,29 +26,27 @@ def M(rows, cols=None):
     return Matrix.from_rows(rows, cols=cols)
 
 
+# row_space(m).basis is the reduced row echelon form (rref) of m with the
+# zero rows dropped: unit pivots in increasing columns, zeros above each
 def test_rref_identity():
-    reduced, pivots = rref(Matrix.identity(3))
-    assert reduced == Matrix.identity(3)
-    assert pivots == (0, 1, 2)
+    reduced = row_space(Matrix.identity(3))
+    assert reduced.basis == Matrix.identity(3)
+    assert reduced.dim == 3
 
 
 def test_rref_zero():
-    z = Matrix.zero(2, 4)
-    reduced, pivots = rref(z)
-    assert reduced == z
-    assert pivots == ()
+    reduced = row_space(Matrix.zero(2, 4))
+    assert reduced.basis == Matrix(0, 4, ())
+    assert reduced == Subspace.zero(4)
 
 
 def test_rref_dependent_rows():
-    reduced, pivots = rref(M([[1, 2], [2, 4]]))
-    assert reduced == M([[1, 2], [0, 0]])
-    assert pivots == (0,)
+    assert row_space(M([[1, 2], [2, 4]])).basis == M([[1, 2]])
 
 
 def test_rref_clears_above_and_normalizes():
-    reduced, pivots = rref(M([[0, 2, 4], [3, 3, 3]]))
-    assert pivots == (0, 1)
-    assert reduced == M([[1, 0, "-1"], [0, 1, 2]])
+    reduced = Subspace.from_vectors(3, [[0, 2, 4], [3, 3, 3]])
+    assert reduced.basis == M([[1, 0, "-1"], [0, 1, 2]])
 
 
 def test_rank_examples():
@@ -140,7 +138,10 @@ def test_ambient_mismatch_errors():
 
 def test_inverse_round_trip():
     m = M([[1, 2], [3, 5]])
-    assert m.mul(m.inverse()) == Matrix.identity(2)
+    inv = m.inverse()
+    assert inv == M([[-5, 2], [3, -1]])
+    assert [vec_mat(row, inv) for row in m.iter_rows()] == list(Matrix.identity(2).iter_rows())
+    assert Matrix(0, 0, ()).inverse() == Matrix(0, 0, ())
     with pytest.raises(SingularMatrix):
         M([[1, 2], [2, 4]]).inverse()
     with pytest.raises(SingularMatrix):
@@ -157,6 +158,70 @@ def _random_matrix(rng, rows, cols):
     return Matrix(rows, cols, tuple(entries))
 
 
+def _to_sympy(sympy, m):
+    return sympy.Matrix(m.rows, m.cols,
+                        [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+
+
+def _from_sympy(rows):
+    return [tuple(Fraction(int(x.p), int(x.q)) for x in row) for row in rows]
+
+
+def test_row_space_matches_sympy_rref():
+    sympy = pytest.importorskip("sympy")
+    rng = Lcg(106)
+    for _ in range(60):
+        m = _random_matrix(rng, rng.randint(0, 7), rng.randint(1, 7))
+        reduced, pivots = _to_sympy(sympy, m).rref()
+        expected = _from_sympy(reduced.row(r) for r in range(len(pivots)))
+        assert list(row_space(m).basis_rows()) == expected
+
+
+def test_kernel_basis_spans_sympy_nullspace():
+    sympy = pytest.importorskip("sympy")
+    rng = Lcg(107)
+    for _ in range(60):
+        m = _random_matrix(rng, rng.randint(0, 7), rng.randint(1, 7))
+        ker = kernel_basis(m)
+        nullspace = _from_sympy(v.T for v in _to_sympy(sympy, m).nullspace())
+        assert ker.dim == len(nullspace)
+        assert all(contains(ker, v) for v in nullspace)
+
+
+def test_inverse_matches_sympy_inv():
+    sympy = pytest.importorskip("sympy")
+    rng = Lcg(108)
+    singular = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        m = _random_matrix(rng, n, n)
+        oracle = _to_sympy(sympy, m)
+        if oracle.det() == 0:
+            singular += 1
+            with pytest.raises(SingularMatrix):
+                m.inverse()
+            continue
+        inv = oracle.inv()
+        assert list(m.inverse().iter_rows()) == _from_sympy(inv.row(r) for r in range(n))
+    assert 0 < singular < 60
+
+
+def test_subspace_intersect_dim_matches_sympy_rank():
+    sympy = pytest.importorskip("sympy")
+    rng = Lcg(109)
+    nonzero = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        a = row_space(_random_matrix(rng, rng.randint(0, n), n))
+        b = row_space(_random_matrix(rng, rng.randint(0, n), n))
+        stacked = Matrix(a.dim + b.dim, n, a.basis.entries + b.basis.entries)
+        meet = subspace_intersect(a, b)
+        assert meet.dim == a.dim + b.dim - _to_sympy(sympy, stacked).rank()
+        assert all(contains(a, v) and contains(b, v) for v in meet.basis_rows())
+        nonzero += meet.dim > 0
+    assert 10 < nonzero < 50
+
+
 def test_rank_nullity_property():
     rng = Lcg(101)
     for _ in range(40):
@@ -167,20 +232,20 @@ def test_rank_nullity_property():
 
 
 def test_rank_agrees_with_rref_pivot_count():
-    # rank uses fraction-free elimination; rref is the independent route
+    # rank uses fraction-free elimination; sympy's rref is the independent route
+    sympy = pytest.importorskip("sympy")
     rng = Lcg(105)
     for _ in range(60):
         m = _random_matrix(rng, rng.randint(0, 7), rng.randint(1, 7))
-        assert rank(m) == len(rref(m).pivots)
+        assert rank(m) == len(_to_sympy(sympy, m).rref()[1]) == row_space(m).dim
 
 
 def test_rref_idempotent_property():
     rng = Lcg(102)
     for _ in range(30):
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        reduced, _ = rref(m)
-        again, _ = rref(reduced)
-        assert again == reduced
+        reduced = row_space(m).basis
+        assert row_space(reduced).basis == reduced
 
 
 def test_modular_law_property():
