@@ -14,9 +14,11 @@ into its sorted triple, so its cost grows with the nonzero structure
 constants.  The center is the kernel of the stacked adjoint, built as
 sparse integer rows; each term of the lower central series, and the
 test [L, S] ⊆ S, is echeloned by the exact fraction-free kernel that
-also computes ``linalg.rank``.  Derived subalgebra, quotients and base
-changes use the subspace machinery in :mod:`liemult.linalg`, which runs
-on the same kernel.
+also computes ``linalg.rank``.  A quotient L/K comes from one reduced
+echelon of K's integer rows on that kernel, pivoting on each vector's
+largest index; only the stored brackets are projected.  Derived
+subalgebra and base changes use the subspace machinery in
+:mod:`liemult.linalg`, which runs on the same kernel.
 """
 
 from __future__ import annotations
@@ -32,12 +34,10 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _back_substitute,
     _echelon,
     _integer_rows,
     _kernel,
-    contains,
-    subspace_sum,
-    unit_vector,
     vec_mat,
     vector,
 )
@@ -94,7 +94,8 @@ class LieAlgebra:
 
     ``table`` holds (i, j, coefficient vector) triples with 0-based
     i < j and nonzero vectors only, sorted by (i, j); ``labels`` is an
-    optional list of basis names and does not affect equality.
+    optional list of basis names and affects neither equality nor the
+    hash, which is computed once per instance.
     """
 
     dim: int
@@ -104,6 +105,14 @@ class LieAlgebra:
     @cached_property
     def _by_pair(self) -> dict[tuple[int, int], Vector]:
         return {(i, j): c for i, j, c in self.table}
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.table))
+
+    def __hash__(self) -> int:
+        # hashed once per instance: every lru_cache lookup keyed by an algebra calls this
+        return self._hash
 
     @property
     def is_abelian(self) -> bool:
@@ -376,46 +385,44 @@ def is_ideal(L: LieAlgebra, s: Subspace) -> bool:
     return len(_echelon(rows + [w for v in rows for w in _integer_brackets(ad, v)])) == s.dim
 
 
-def quotient(L: LieAlgebra, k: Subspace) -> tuple[LieAlgebra, Matrix]:
-    """Quotient algebra L/K and the projection matrix onto its basis.
+def quotient(L: LieAlgebra, k: Subspace) -> LieAlgebra:
+    """Quotient algebra L/K on the standard basis vectors that complete K.
 
-    The complement basis extends K's basis by standard basis vectors,
-    chosen greedily in index order, so the output is reproducible.  The
-    projection maps old coordinates onto quotient coordinates and
-    commutes with brackets.
+    K's integer rows are echeloned with each vector pivoting on its
+    largest index (indices mirrored c -> n-1-c around the kernel) and
+    fully reduced.  e_i lies in K + span(e_0..e_{i-1}) exactly when i is
+    such a pivot, so the other indices, in increasing order, are the
+    complement that extends K's basis greedily in index order; the e_i
+    on them are the basis of L/K, so the output is reproducible.  Each
+    reduced vector v is zero at every other pivot, so modulo K the e_p
+    of its pivot p is -v/v[p] with entry p dropped, a combination of
+    complement vectors.  Substituting these into the stored brackets
+    between complement vectors gives the quotient's table directly.
     """
     if k.ambient_dim != L.dim:
         raise AmbientMismatch(f"subspace ambient {k.ambient_dim} != dim {L.dim}")
     if not is_ideal(L, k):
         raise NotAnIdeal("quotient by a subspace that is not an ideal")
-    n, r = L.dim, k.dim
-    chosen: list[int] = []
-    cur = k
-    for i in range(n):
-        if cur.dim == n:
-            break
-        e = unit_vector(n, i)
-        if not contains(cur, e):
-            chosen.append(i)
-            cur = subspace_sum(cur, Subspace.from_vectors(n, [e]))
-    full_basis = Matrix.from_rows(
-        [list(row) for row in k.basis_rows()]
-        + [list(unit_vector(n, i)) for i in chosen],
-        cols=n,
-    )
-    inv = full_basis.inverse()
-    # coords of x in the combined basis are x . inv; the projection keeps
-    # the complement block
-    proj = Matrix.from_rows(
-        [[inv.at(m, r + a) for m in range(n)] for a in range(n - r)],
-        cols=n,
-    )
-    mapping: dict[tuple[int, int], Vector] = {}
-    for a in range(n - r):
-        for b in range(a + 1, n - r):
-            w = L.bracket_basis(chosen[a], chosen[b])
-            mapping[(a, b)] = proj.mul_vec(w)
-    return _make(n - r, mapping, validate=False), proj
+    top = L.dim - 1
+    reduced = _back_substitute(_echelon(
+        {top - c: x for c, x in v.items()} for v in _integer_rows(k.basis)))
+    complement = [c for c in range(L.dim) if top - c not in reduced]
+    pos = {c: a for a, c in enumerate(complement)}
+    # image[m]: the quotient coordinates of e_m modulo K
+    image = {c: ((a, 1),) for c, a in pos.items()}
+    for p, v in reduced.items():
+        image[top - p] = tuple((pos[top - c], Fraction(-x, v[p]))
+                               for c, x in v.items() if c != p)
+    mapping: dict[tuple[int, int], list[Fraction]] = {}
+    for i, j, c in L.table:
+        if i in pos and j in pos:
+            acc = [_ZERO] * len(pos)
+            for m, x in enumerate(c):
+                if x:
+                    for a, y in image[m]:
+                        acc[a] += x * y
+            mapping[(pos[i], pos[j])] = acc
+    return _make(len(pos), mapping, validate=False)
 
 
 def direct_sum(l1: LieAlgebra, l2: LieAlgebra) -> LieAlgebra:

@@ -4,8 +4,10 @@ Ranks, kernels, inverses and the subspace lattice (span, sum,
 intersection, membership).  Scalars are ``fractions.Fraction``; every
 elimination runs on one kernel, ``_echelon``, a fraction-free echelon
 of sparse integer vectors, and ``_subspace`` back-substitutes its
-output to the canonical reduced rows.  Rank decisions are exact by
-construction; no floating point enters anywhere.
+output to the canonical reduced rows.  Membership is an echelon size
+too: v lies in A exactly when A's rows plus v still echelon to dim A
+vectors.  Rank decisions are exact by construction; no floating point
+enters anywhere.
 
 Subspaces are kept canonical: the basis is the reduced row echelon form
 of any spanning set, with unit pivots in strictly increasing columns,
@@ -99,21 +101,6 @@ class Matrix:
     def iter_rows(self) -> Iterable[Vector]:
         for r in range(self.rows):
             yield self.row(r)
-
-    def mul_vec(self, v: Sequence[Fraction]) -> Vector:
-        if len(v) != self.cols:
-            raise AmbientMismatch(f"vector length {len(v)} != cols {self.cols}")
-        out = []
-        for r in range(self.rows):
-            acc = _ZERO
-            base = r * self.cols
-            for c, x in enumerate(v):
-                if x:
-                    y = self.entries[base + c]
-                    if y:
-                        acc += x * y
-            out.append(acc)
-        return tuple(out)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -350,9 +337,6 @@ class Subspace:
     def basis_rows(self) -> Iterable[Vector]:
         return self.basis.iter_rows()
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return contains(self, v)
-
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, basis={self.basis!r})"
 
@@ -391,17 +375,9 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def contains(a: Subspace, v: Sequence[Fraction]) -> bool:
-    """Exact membership test of a vector in a subspace."""
-    if len(v) != a.ambient_dim:
-        raise AmbientMismatch(f"vector length {len(v)} != ambient {a.ambient_dim}")
-    residual = list(v)
-    for row in a.basis_rows():
-        p = next((c for c, x in enumerate(row) if x), None)
-        if p is None:
-            continue
-        coef = residual[p]
-        if coef:
-            for c in range(p, len(residual)):
-                if row[c]:
-                    residual[c] -= coef * row[c]
-    return not any(residual)
+    """Exact membership: v lies in A iff the echelon of A's rows plus v keeps size dim A."""
+    n = a.ambient_dim
+    if len(v) != n:
+        raise AmbientMismatch(f"vector length {len(v)} != ambient {n}")
+    rows = Matrix(a.dim + 1, n, a.basis.entries + vector(v))
+    return len(_echelon(_integer_rows(rows))) == a.dim

@@ -32,7 +32,7 @@ from .liealg import (
     lower_central_series,
     quotient,
 )
-from .linalg import SparseMatrix, Subspace, contains, rank, subspace_intersect
+from .linalg import SparseMatrix, Subspace, rank, subspace_intersect, subspace_sum
 
 
 class ComplexNotExact(RuntimeError):
@@ -219,10 +219,9 @@ def check_quotient_bound(L: LieAlgebra, k: Subspace) -> QuotientBoundCheck:
     multiplier is the abelian closed form dim(K)(dim(K)-1)/2.
     """
     z = center(L)
-    for r in range(k.dim):
-        if not contains(z, k.basis.row(r)):
-            raise NotCentral("K is not contained in the center")
-    h, _ = quotient(L, k)
+    if subspace_sum(z, k) != z:
+        raise NotCentral("K is not contained in the center")
+    h = quotient(L, k)
     m_total = schur_multiplier_dim(L).dim_m
     meet = subspace_intersect(derived_subalgebra(L), k).dim
     m_quot = schur_multiplier_dim(h).dim_m

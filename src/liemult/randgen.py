@@ -111,4 +111,4 @@ def random_central_quotient(L: LieAlgebra, rng: Lcg) -> Optional[LieAlgebra]:
     k = random_central_subspace(L, rng, min_dim=1)
     if k.dim == 0:
         return None
-    return quotient(L, k)[0]
+    return quotient(L, k)

@@ -29,10 +29,11 @@ from liemult.liealg import (
     lower_central_series,
     quotient,
 )
-from liemult.linalg import Matrix, Subspace, contains, subspace_sum, vector
+from liemult.linalg import Matrix, Subspace, subspace_sum, vector
 from liemult.randgen import (
     Lcg,
     random_central_quotient,
+    random_central_subspace,
     random_change_of_basis,
     random_unimodular,
 )
@@ -162,15 +163,14 @@ def test_is_ideal_examples():
 
 def test_quotient_heisenberg_by_center_is_abelian():
     h1 = heisenberg(1).algebra
-    q, proj = quotient(h1, center(h1))
+    q = quotient(h1, center(h1))
     assert q.dim == 2
     assert q.is_abelian
-    assert proj.rows == 2 and proj.cols == 3
 
 
 def test_quotient_by_derived_is_abelian():
     for alg in (heisenberg(2).algebra, l_3_4_1_4().algebra, l_4_5_2_4().algebra):
-        q, _ = quotient(alg, derived_subalgebra(alg))
+        q = quotient(alg, derived_subalgebra(alg))
         assert q.dim == alg.dim - derived_subalgebra(alg).dim
         assert q.is_abelian
 
@@ -178,7 +178,7 @@ def test_quotient_by_derived_is_abelian():
 def test_quotient_l3414_by_top_is_heisenberg():
     alg = l_3_4_1_4().algebra
     k = Subspace.from_vectors(4, [[0, 0, 0, 1]])
-    q, _ = quotient(alg, k)
+    q = quotient(alg, k)
     assert q == heisenberg(1).algebra
 
 
@@ -188,20 +188,6 @@ def test_quotient_requires_ideal():
     h1 = heisenberg(1).algebra
     with pytest.raises(NotAnIdeal):
         quotient(h1, Subspace.from_vectors(3, [[1, 0, 0]]))
-
-
-def test_quotient_projection_commutes_with_bracket():
-    rng = Lcg(11)
-    for alg in (heisenberg(2).algebra, l_4_5_2_4().algebra,
-                l4524_plus_a1().algebra):
-        k = center(alg)
-        q, proj = quotient(alg, k)
-        for _ in range(10):
-            x = vector([rng.randint(-3, 3) for _ in range(alg.dim)])
-            y = vector([rng.randint(-3, 3) for _ in range(alg.dim)])
-            lhs = proj.mul_vec(alg.bracket(x, y))
-            rhs = q.bracket(proj.mul_vec(x), proj.mul_vec(y))
-            assert lhs == rhs
 
 
 def test_direct_sum_examples():
@@ -430,6 +416,7 @@ def test_center_matches_sympy_nullspace():
 
 
 def test_is_ideal_matches_bracket_membership():
+    sympy = pytest.importorskip("sympy")
     rng = Lcg(44)
     ideals = 0
     for alg in _base_changes(rng):
@@ -440,8 +427,69 @@ def test_is_ideal_matches_bracket_membership():
             if rng.randint(0, 1):
                 # every subspace containing [L, L] is an ideal
                 s = subspace_sum(s, derived_subalgebra(alg))
-            expected = all(contains(s, alg.bracket(row, tuple(Fraction(x) for x in e(n, j))))
-                           for row in s.basis_rows() for j in range(1, n + 1))
+            # [L, S] lies in S iff stacking every [s, e_j] under S keeps sympy's rank at dim S
+            rows = list(s.basis_rows())
+            brackets = [alg.bracket(row, tuple(Fraction(x) for x in e(n, j)))
+                        for row in rows for j in range(1, n + 1)]
+            expected = _sympy_rows(sympy, rows + brackets).rank() == s.dim
             assert is_ideal(alg, s) == expected
             ideals += expected
     assert 30 < ideals < 90
+
+
+def _reference_quotient(sympy, alg, k):
+    """L/K and its projection as the greedy algorithm computes them, in sympy over QQ.
+
+    e_i joins the complement when it raises the sympy rank of K's basis
+    plus the e's chosen so far; the projection is the complement block
+    of the inverse of [K; e_chosen], and the table projects each bracket
+    of two complement vectors.
+    """
+    n, r = alg.dim, k.dim
+    units = [tuple(Fraction(x) for x in e(n, i)) for i in range(1, n + 1)]
+    rows = list(k.basis_rows())
+    chosen = []
+    for i in range(n):
+        cand = rows + [units[c] for c in chosen] + [units[i]]
+        if _sympy_rows(sympy, cand).rank() == len(cand):
+            chosen.append(i)
+    full = _sympy_rows(sympy, rows + [units[c] for c in chosen])
+    proj = full.inv()[:, r:]
+
+    def project(v):
+        return _from_sympy([_sympy_rows(sympy, [v]) * proj])[0]
+
+    brackets = []
+    for a, b in combinations(range(n - r), 2):
+        w = project(alg.bracket_basis(chosen[a], chosen[b]))
+        if any(w):
+            brackets.append((a + 1, b + 1, w))
+    return build(n - r, brackets), project
+
+
+def test_quotient_matches_greedy_sympy_reference():
+    sympy = pytest.importorskip("sympy")
+    rng = Lcg(45)
+    for alg in _base_changes(rng):
+        n = alg.dim
+        ideals = [center(alg), derived_subalgebra(alg), Subspace.zero(n), Subspace.full(n)]
+        ideals += [random_central_subspace(alg, rng) for _ in range(3)]
+        for k in ideals:
+            expected, project = _reference_quotient(sympy, alg, k)
+            q = quotient(alg, k)
+            assert q == expected
+            for _ in range(3):
+                x = vector([rng.randint(-3, 3) for _ in range(n)])
+                y = vector([rng.randint(-3, 3) for _ in range(n)])
+                assert project(alg.bracket(x, y)) == q.bracket(project(x), project(y))
+
+
+def test_hash_ignores_labels_and_survives_rebuild():
+    h1 = heisenberg(1).algebra
+    named = build(3, [(1, 2, e(3, 3))], labels=["x", "y", "z"])
+    assert named == h1 and hash(named) == hash(h1)
+    moved = change_of_basis(l_4_5_2_4().algebra, random_unimodular(5, Lcg(46)))
+    rebuilt = build(moved.dim, [(i + 1, j + 1, c) for i, j, c in moved.table])
+    assert rebuilt is not moved
+    assert rebuilt == moved and hash(rebuilt) == hash(moved)
+    assert center(rebuilt) is center(moved)

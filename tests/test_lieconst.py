@@ -91,5 +91,5 @@ def test_round_trip_catalog():
 
 def test_quotient_of_l3414_renders_as_heisenberg_file():
     alg = l_3_4_1_4().algebra
-    q, _ = quotient(alg, Subspace.from_vectors(4, [[0, 0, 0, 1]]))
+    q = quotient(alg, Subspace.from_vectors(4, [[0, 0, 0, 1]]))
     assert render(q) == render(heisenberg(1).algebra)

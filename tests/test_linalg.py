@@ -81,7 +81,7 @@ def test_kernel_vectors_annihilate():
     ker = kernel_basis(m)
     assert ker.dim == 4 - rank(m)
     for row in ker.basis_rows():
-        assert not any(m.mul_vec(row))
+        assert not any(sum(x * y for x, y in zip(r, row)) for r in m.iter_rows())
 
 
 def test_row_space_examples():
@@ -220,6 +220,26 @@ def test_subspace_intersect_dim_matches_sympy_rank():
         assert all(contains(a, v) and contains(b, v) for v in meet.basis_rows())
         nonzero += meet.dim > 0
     assert 10 < nonzero < 50
+
+
+def test_contains_matches_sympy_rank():
+    sympy = pytest.importorskip("sympy")
+    rng = Lcg(110)
+    members = outsiders = 0
+    for trial in range(60):
+        n = rng.randint(1, 6)
+        rows = 0 if trial % 10 == 0 else rng.randint(0, n)
+        s = row_space(_random_matrix(rng, rows, n))
+        # a combination of the basis rows lies in S; shifting one entry usually leaves it
+        member = vec_mat(_random_matrix(rng, 1, s.dim).row(0), s.basis)
+        shifted = member[:-1] + (member[-1] + Fraction(1, rng.randint(1, 3)),)
+        for v in (vector([0] * n), _random_matrix(rng, 1, n).row(0), member, shifted):
+            stacked = Matrix(s.dim + 1, n, s.basis.entries + v)
+            expected = _to_sympy(sympy, stacked).rank() == s.dim
+            assert contains(s, v) == expected
+            members += expected
+            outsiders += not expected
+    assert members > 60 and outsiders > 60
 
 
 def test_rank_nullity_property():
