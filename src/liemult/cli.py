@@ -154,7 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write to FILE instead of stdout")
     p.set_defaults(func=_cmd_catalog)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
+    flags = "\n".join(
+        f"  {name:<16}{' '.join('--' + f.replace('_', '-') for f in used) or '(none)'}"
+        for name, used in verify.SUITE_FLAGS.items())
+    p = sub.add_parser("verify", help="run a named verification suite",
+                       formatter_class=argparse.RawDescriptionHelpFormatter,
+                       epilog="flags each suite reads (it accepts and ignores the others):\n"
+                              + flags)
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     p.add_argument("--max-m", type=int, default=verify.DEFAULT_MAX_M)
     p.add_argument("--max-k", type=int, default=verify.DEFAULT_MAX_K)

@@ -1,24 +1,32 @@
 """Lie algebras presented by exact structure-constant tables.
 
-Only brackets [e_i, e_j] with i < j are stored, so antisymmetry is
-structural.  The Jacobi identity is verified exactly whenever an algebra
-is built from outside input; algebras derived from valid ones (direct
-sums, quotients by ideals, base changes) are valid by construction and
-skip the re-check.
+Each algebra is stored once, as ``(dim, denom, brackets)``: only the
+nonzero brackets [e_i, e_j] with i < j are kept, each as sparse integer
+numerators over the one common denominator ``denom``, the least common
+denominator of all structure constants.  That form is canonical, so
+equality and the hash read it directly, and antisymmetry is structural.
+``table`` derives the dense Fraction vectors on demand for readers that
+want them; nothing here computes with it.  Every constructor (``build``,
+``direct_sum``, ``quotient``, ``change_of_basis``) ends in ``_make``,
+which reduces numerators and denominator by their common gcd and sorts
+the brackets.  The Jacobi identity is verified exactly whenever an
+algebra is built from outside input; algebras derived from valid ones
+(direct sums, quotients by ideals, base changes) are valid by
+construction and skip the re-check.
 
-The table's denominators are cleared in one place, ``_integer_table``;
-the Jacobi check, the center, the lower central series, the ideal test
-and the boundary maps of :mod:`liemult.multiplier` all work on that
-integer table.  The Jacobi check sums each stored bracket's contribution
-into its sorted triple, so its cost grows with the nonzero structure
-constants.  The center is the kernel of the stacked adjoint, built as
-sparse integer rows; each term of the lower central series, and the
-test [L, S] ⊆ S, is echeloned by the exact fraction-free kernel that
-also computes ``linalg.rank``.  A quotient L/K comes from one reduced
-echelon of K's integer rows on that kernel, pivoting on each vector's
-largest index; only the stored brackets are projected.  Derived
-subalgebra and base changes use the subspace machinery in
-:mod:`liemult.linalg`, which runs on the same kernel.
+The Jacobi check, the center, the lower central series, the ideal test
+and the boundary maps of :mod:`liemult.multiplier` all read the stored
+integer brackets.  The Jacobi check sums each stored bracket's
+contribution into its sorted triple, so its cost grows with the nonzero
+structure constants.  The center is the kernel of the stacked adjoint,
+built as sparse integer rows; each term of the lower central series, and
+the test [L, S] ⊆ S, is echeloned by the exact fraction-free kernel of
+:mod:`liemult.linalg` that also computes ``linalg.rank``.  A quotient
+L/K comes from one reduced echelon of K's integer rows on that kernel,
+pivoting on each vector's largest index; only the stored brackets are
+projected.  A base change transports only the stored brackets, in
+integers, and multiplies them by the inverse read from the reduced
+echelon of [Q | I].
 """
 
 from __future__ import annotations
@@ -26,19 +34,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .linalg import (
     AmbientMismatch,
     Matrix,
+    Scalar,
     Subspace,
     Vector,
     _back_substitute,
     _echelon,
-    _integer_rows,
+    _inverse,
     _kernel,
-    vec_mat,
+    _span,
+    rat,
     vector,
 )
 
@@ -80,35 +90,31 @@ class JacobiViolation(ValueError):
         self.defect = defect
 
 
-@lru_cache(maxsize=64)
-def _zeros(n: int) -> Vector:
-    return (_ZERO,) * n
-
-
-BracketTable = tuple[tuple[int, int, Vector], ...]
+# ((m, numerator), ...) in increasing m, zero numerators left out
+Coefficients = tuple[tuple[int, int], ...]
+Brackets = tuple[tuple[int, int, Coefficients], ...]
 
 
 @dataclass(frozen=True, repr=False)
 class LieAlgebra:
     """Lie algebra on basis e_1..e_n given by rational structure constants.
 
-    ``table`` holds (i, j, coefficient vector) triples with 0-based
-    i < j and nonzero vectors only, sorted by (i, j); ``labels`` is an
-    optional list of basis names and affects neither equality nor the
-    hash, which is computed once per instance.
+    ``brackets`` holds (i, j, ((m, a), ...)) with 0-based i < j, sorted
+    by (i, j), nonzero brackets only: a / denom is the coefficient of
+    e_m in [e_i, e_j].  ``denom`` is the least common denominator of the
+    constants (1 when there are none), which fixes the numerators.
+    ``labels`` is an optional list of basis names and affects neither
+    equality nor the hash, which is computed once per instance.
     """
 
     dim: int
-    table: BracketTable
+    denom: int
+    brackets: Brackets
     labels: Optional[tuple[str, ...]] = field(default=None, compare=False)
 
     @cached_property
-    def _by_pair(self) -> dict[tuple[int, int], Vector]:
-        return {(i, j): c for i, j, c in self.table}
-
-    @cached_property
     def _hash(self) -> int:
-        return hash((self.dim, self.table))
+        return hash((self.dim, self.denom, self.brackets))
 
     def __hash__(self) -> int:
         # hashed once per instance: every lru_cache lookup keyed by an algebra calls this
@@ -116,76 +122,41 @@ class LieAlgebra:
 
     @property
     def is_abelian(self) -> bool:
-        return not self.table
+        return not self.brackets
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        """[e_i, e_j] for any 0-based i, j, with the sign handled."""
-        if i == j:
-            return _zeros(self.dim)
-        if i < j:
-            c = self._by_pair.get((i, j))
-            return c if c is not None else _zeros(self.dim)
-        c = self._by_pair.get((j, i))
-        return tuple(-x for x in c) if c is not None else _zeros(self.dim)
-
-    def _bracket_vec_basis(self, v: Sequence[Fraction], t: int) -> Vector:
-        """[v, e_t] for a coefficient vector v."""
-        acc: Optional[list[Fraction]] = None
-        by = self._by_pair
-        for m, vm in enumerate(v):
-            if not vm or m == t:
-                continue
-            if m < t:
-                c = by.get((m, t))
-                f = vm
-            else:
-                c = by.get((t, m))
-                f = -vm
-            if c is None:
-                continue
-            if acc is None:
-                acc = [_ZERO] * self.dim
-            for idx, cv in enumerate(c):
-                if cv:
-                    acc[idx] += f * cv
-        return tuple(acc) if acc is not None else _zeros(self.dim)
-
-    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        """Bilinear, antisymmetric extension of the structure constants."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise AmbientMismatch(
-                f"bracket arguments must have length {self.dim}"
-            )
-        acc = [_ZERO] * self.dim
-        for i, j, c in self.table:
-            w = x[i] * y[j] - x[j] * y[i]
-            if w:
-                for idx, cv in enumerate(c):
-                    if cv:
-                        acc[idx] += w * cv
-        return tuple(acc)
+    @property
+    def table(self) -> tuple[tuple[int, int, Vector], ...]:
+        """(i, j, dense Fraction vector of [e_i, e_j]) per stored bracket, derived on each call."""
+        zero = [_ZERO] * self.dim
+        out = []
+        for i, j, coeffs in self.brackets:
+            row = list(zero)
+            for m, a in coeffs:
+                row[m] = Fraction(a, self.denom)
+            out.append((i, j, tuple(row)))
+        return tuple(out)
 
     def __repr__(self) -> str:
-        return f"LieAlgebra(dim={self.dim}, nonzero_brackets={len(self.table)})"
-
-
-def _canonical_table(dim: int, mapping: Mapping[tuple[int, int], Sequence[Fraction]]) -> BracketTable:
-    items = []
-    for (i, j), coeffs in mapping.items():
-        coeffs = tuple(coeffs)
-        if any(coeffs):
-            items.append((i, j, coeffs))
-    items.sort(key=lambda e: (e[0], e[1]))
-    return tuple(items)
+        return f"LieAlgebra(dim={self.dim}, nonzero_brackets={len(self.brackets)})"
 
 
 def _make(
     dim: int,
-    mapping: Mapping[tuple[int, int], Sequence[Fraction]],
+    denom: int,
+    mapping: Mapping[tuple[int, int], Iterable[tuple[int, int]]],
     labels: Optional[Sequence[str]] = None,
     validate: bool = True,
 ) -> LieAlgebra:
-    alg = LieAlgebra(dim, _canonical_table(dim, mapping),
+    """The canonical algebra whose [e_i, e_j] has coefficients a / denom at the given (m, a)."""
+    items = []
+    for (i, j), coeffs in sorted(mapping.items()):
+        nz = tuple(sorted((m, a) for m, a in coeffs if a))
+        if nz:
+            items.append((i, j, nz))
+    g = gcd(denom, *(a for _, _, coeffs in items for _, a in coeffs))
+    if g != 1:
+        items = [(i, j, tuple((m, a // g) for m, a in coeffs)) for i, j, coeffs in items]
+    alg = LieAlgebra(dim, denom // g, tuple(items),
                      tuple(labels) if labels is not None else None)
     if validate:
         bad = first_jacobi_violation(alg)
@@ -197,65 +168,60 @@ def _make(
 
 def build(
     dim: int,
-    brackets: Iterable[tuple[int, int, Sequence]],
+    brackets: Iterable[tuple[int, int, Union[Sequence[Scalar], Mapping[int, Scalar]]]],
     labels: Optional[Sequence[str]] = None,
 ) -> LieAlgebra:
     """Validated Lie algebra from 1-based bracket data.
 
-    ``brackets`` lists (i, j, coefficient vector) with 1 <= i < j <= dim,
-    matching the e1..en naming used in lieconst files; unlisted brackets
-    are zero.  Raises IndexOutOfRange, DuplicateBracket or
-    JacobiViolation.
+    ``brackets`` lists (i, j, coefficients) with 1 <= i < j <= dim,
+    matching the e1..en naming used in lieconst files; the coefficients
+    of [e_i, e_j] are a vector of length dim, or a mapping from basis
+    index k (1-based, e_k) to coefficient.  Unlisted brackets are zero.
+    Raises IndexOutOfRange, DuplicateBracket or JacobiViolation.
     """
     if dim < 0:
         raise IndexOutOfRange(f"dimension must be non-negative, got {dim}")
-    mapping: dict[tuple[int, int], Vector] = {}
+    mapping: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, j, coeffs in brackets:
         if not (1 <= i < j <= dim):
             raise IndexOutOfRange(
                 f"bracket [e{i},e{j}] violates 1 <= i < j <= {dim}"
             )
-        coeffs = vector(coeffs)
-        if len(coeffs) != dim:
-            raise IndexOutOfRange(
-                f"coefficient vector for [e{i},e{j}] has length "
-                f"{len(coeffs)}, expected {dim}"
-            )
+        if isinstance(coeffs, Mapping):
+            sparse = {}
+            for k, x in coeffs.items():
+                if not (1 <= k <= dim):
+                    raise IndexOutOfRange(
+                        f"coefficient of [e{i},e{j}] names e{k}, outside 1..{dim}"
+                    )
+                sparse[k - 1] = rat(x)
+        else:
+            coeffs = vector(coeffs)
+            if len(coeffs) != dim:
+                raise IndexOutOfRange(
+                    f"coefficient vector for [e{i},e{j}] has length "
+                    f"{len(coeffs)}, expected {dim}"
+                )
+            sparse = {m: x for m, x in enumerate(coeffs) if x}
         key = (i - 1, j - 1)
         if key in mapping:
             raise DuplicateBracket(f"bracket [e{i},e{j}] given twice")
-        mapping[key] = coeffs
+        mapping[key] = sparse
     if labels is not None and len(tuple(labels)) != dim:
         raise IndexOutOfRange("labels length must equal dim")
-    return _make(dim, mapping, labels, validate=True)
+    denom = lcm(*(x.denominator for c in mapping.values() for x in c.values()))
+    return _make(dim, denom, {
+        key: [(m, x.numerator * (denom // x.denominator)) for m, x in c.items()]
+        for key, c in mapping.items()
+    }, labels, validate=True)
 
 
-def jacobi_defect(L: LieAlgebra, i: int, j: int, k: int) -> Vector:
-    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j], 0-based."""
-    a = L._bracket_vec_basis(L.bracket_basis(i, j), k)
-    b = L._bracket_vec_basis(L.bracket_basis(j, k), i)
-    c = L._bracket_vec_basis(L.bracket_basis(k, i), j)
-    return tuple(x + y + z for x, y, z in zip(a, b, c))
-
-
-def _integer_table(L: LieAlgebra) -> tuple[int, list]:
-    """The table as integer numerators over its least common denominator.
-
-    Returns ``(denom, brackets)``; each bracket is ``(i, j, [(m, a), ...])``
-    with ``a / denom`` the nonzero coefficient of e_m in [e_i, e_j].
-    """
-    denom = lcm(*(x.denominator for _, _, c in L.table for x in c if x))
-    return denom, [(i, j, [(m, x.numerator * (denom // x.denominator))
-                           for m, x in enumerate(c) if x])
-                   for i, j, c in L.table]
-
-
-def _adjoint(n: int, table: list) -> list[dict[int, list[tuple[int, int]]]]:
+def _adjoint(n: int, brackets: Brackets) -> list[dict[int, Coefficients]]:
     """``ad[m][t]`` lists the integer coefficients of [e_m, e_t], for nonzero brackets only."""
-    ad: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n)]
-    for a, b, coeffs in table:
+    ad: list[dict[int, Coefficients]] = [{} for _ in range(n)]
+    for a, b, coeffs in brackets:
         ad[a][b] = coeffs
-        ad[b][a] = [(r, -y) for r, y in coeffs]
+        ad[b][a] = tuple((r, -y) for r, y in coeffs)
     return ad
 
 
@@ -271,10 +237,9 @@ def first_jacobi_violation(
     so the cost grows with the nonzero structure constants.
     """
     n = L.dim
-    denom, table = _integer_table(L)
-    ad = _adjoint(n, table)
+    ad = _adjoint(n, L.brackets)
     sums: dict[tuple[int, int, int], dict[int, int]] = {}
-    for a, b, coeffs in table:
+    for a, b, coeffs in L.brackets:
         for m, x in coeffs:
             # [[e_a,e_b], e_t] = sum over m of x_m [e_m, e_t]
             for t, image in ad[m].items():
@@ -294,7 +259,7 @@ def first_jacobi_violation(
     for key in sorted(sums):
         acc = sums[key]
         if any(acc.values()):
-            scale = denom * denom
+            scale = L.denom * L.denom
             return key, tuple(Fraction(acc.get(r, 0), scale) for r in range(n))
     return None
 
@@ -302,7 +267,7 @@ def first_jacobi_violation(
 @lru_cache(maxsize=None)
 def derived_subalgebra(L: LieAlgebra) -> Subspace:
     """Canonical span of all brackets [e_i, e_j], i < j."""
-    return Subspace.from_vectors(L.dim, [c for _, _, c in L.table])
+    return _span(L.dim, (coeffs for _, _, coeffs in L.brackets))
 
 
 @lru_cache(maxsize=None)
@@ -316,7 +281,7 @@ def center(L: LieAlgebra) -> Subspace:
     if L.is_abelian:
         return Subspace.full(n)
     rows: dict[tuple[int, int], dict[int, int]] = {}
-    for i, j, coeffs in _integer_table(L)[1]:
+    for i, j, coeffs in L.brackets:
         for t, x in coeffs:
             rows.setdefault((j, t), {})[i] = x
             rows.setdefault((i, t), {})[j] = -x
@@ -337,10 +302,10 @@ class SeriesReport:
         return self.nilpotency_class is not None
 
 
-def _integer_brackets(ad: list, v: dict[int, int]) -> list[dict[int, int]]:
-    """The nonzero [v, e_t] for a sparse integer vector v, as sparse integer vectors."""
+def _integer_brackets(ad: list, v: Iterable[tuple[int, int]]) -> list[dict[int, int]]:
+    """The nonzero [v, e_t] for a sparse integer vector v, given as (m, x) pairs."""
     out: dict[int, dict[int, int]] = {}
-    for m, x in v.items():
+    for m, x in v:
         for t, image in ad[m].items():
             acc = out.get(t)
             if acc is None:
@@ -356,17 +321,17 @@ def lower_central_series(L: LieAlgebra) -> SeriesReport:
     """Dims of L >= [L,L] >= [L,[L,L]] >= ... until zero or stabilization.
 
     Each term is spanned by the [v, e_t] for v in a spanning set of the
-    previous one, formed in integers from the table and reduced by the
-    echelon kernel; only dimensions are reported, so the echelon is not
-    reduced further.
+    previous one, formed in integers from the stored brackets and reduced
+    by the echelon kernel; only dimensions are reported, so the echelon
+    is not reduced further.
     """
     n = L.dim
-    ad = _adjoint(n, _integer_table(L)[1])
+    ad = _adjoint(n, L.brackets)
     dims = [n]
     cur: list[dict[int, int]] = [{i: 1} for i in range(n)]
     derived_dim = 0
     while cur:
-        nxt = list(_echelon(w for v in cur for w in _integer_brackets(ad, v)).values())
+        nxt = list(_echelon(w for v in cur for w in _integer_brackets(ad, v.items())).values())
         if len(dims) == 1:
             derived_dim = len(nxt)
         if len(nxt) == len(cur):
@@ -380,83 +345,101 @@ def is_ideal(L: LieAlgebra, s: Subspace) -> bool:
     """True iff [L, S] is contained in S, i.e. adding the [v, e_t] keeps the echelon's size."""
     if s.ambient_dim != L.dim:
         raise AmbientMismatch(f"subspace ambient {s.ambient_dim} != dim {L.dim}")
-    rows = list(_integer_rows(s.basis))
-    ad = _adjoint(L.dim, _integer_table(L)[1])
-    return len(_echelon(rows + [w for v in rows for w in _integer_brackets(ad, v)])) == s.dim
+    ad = _adjoint(L.dim, L.brackets)
+    return len(_echelon([*s.rows, *(w for v in s.rows for w in _integer_brackets(ad, v))])) == s.dim
 
 
 def quotient(L: LieAlgebra, k: Subspace) -> LieAlgebra:
     """Quotient algebra L/K on the standard basis vectors that complete K.
 
-    K's integer rows are echeloned with each vector pivoting on its
-    largest index (indices mirrored c -> n-1-c around the kernel) and
-    fully reduced.  e_i lies in K + span(e_0..e_{i-1}) exactly when i is
-    such a pivot, so the other indices, in increasing order, are the
+    K's rows are echeloned with each vector pivoting on its largest
+    index (indices mirrored c -> n-1-c around the kernel) and fully
+    reduced.  e_i lies in K + span(e_0..e_{i-1}) exactly when i is such
+    a pivot, so the other indices, in increasing order, are the
     complement that extends K's basis greedily in index order; the e_i
     on them are the basis of L/K, so the output is reproducible.  Each
     reduced vector v is zero at every other pivot, so modulo K the e_p
     of its pivot p is -v/v[p] with entry p dropped, a combination of
     complement vectors.  Substituting these into the stored brackets
-    between complement vectors gives the quotient's table directly.
+    between complement vectors gives the quotient's brackets directly,
+    in integers over denom times the lcm d of the pivot entries.
     """
     if k.ambient_dim != L.dim:
         raise AmbientMismatch(f"subspace ambient {k.ambient_dim} != dim {L.dim}")
     if not is_ideal(L, k):
         raise NotAnIdeal("quotient by a subspace that is not an ideal")
     top = L.dim - 1
-    reduced = _back_substitute(_echelon(
-        {top - c: x for c, x in v.items()} for v in _integer_rows(k.basis)))
+    reduced = _back_substitute(_echelon({top - c: x for c, x in v} for v in k.rows))
     complement = [c for c in range(L.dim) if top - c not in reduced]
     pos = {c: a for a, c in enumerate(complement)}
-    # image[m]: the quotient coordinates of e_m modulo K
-    image = {c: ((a, 1),) for c, a in pos.items()}
+    d = lcm(*(v[p] for p, v in reduced.items()))
+    # image[m]: d times the quotient coordinates of e_m modulo K
+    image = {c: ((a, d),) for c, a in pos.items()}
     for p, v in reduced.items():
-        image[top - p] = tuple((pos[top - c], Fraction(-x, v[p]))
-                               for c, x in v.items() if c != p)
-    mapping: dict[tuple[int, int], list[Fraction]] = {}
-    for i, j, c in L.table:
+        f = d // v[p]
+        image[top - p] = tuple((pos[top - c], -x * f) for c, x in v.items() if c != p)
+    mapping: dict[tuple[int, int], Iterable[tuple[int, int]]] = {}
+    for i, j, coeffs in L.brackets:
         if i in pos and j in pos:
-            acc = [_ZERO] * len(pos)
-            for m, x in enumerate(c):
-                if x:
-                    for a, y in image[m]:
-                        acc[a] += x * y
-            mapping[(pos[i], pos[j])] = acc
-    return _make(len(pos), mapping, validate=False)
+            acc: dict[int, int] = {}
+            for m, x in coeffs:
+                for a, y in image[m]:
+                    acc[a] = acc.get(a, 0) + x * y
+            mapping[(pos[i], pos[j])] = acc.items()
+    return _make(len(pos), L.denom * d, mapping, validate=False)
 
 
 def direct_sum(l1: LieAlgebra, l2: LieAlgebra) -> LieAlgebra:
     """Block sum: components commute, constants are copied per block."""
-    d1, d2 = l1.dim, l2.dim
-    mapping: dict[tuple[int, int], Vector] = {}
-    pad2 = _zeros(d2)
-    pad1 = _zeros(d1)
-    for i, j, c in l1.table:
-        mapping[(i, j)] = c + pad2
-    for i, j, c in l2.table:
-        mapping[(i + d1, j + d1)] = pad1 + c
+    d1 = l1.dim
+    denom = lcm(l1.denom, l2.denom)
+    f1, f2 = denom // l1.denom, denom // l2.denom
+    mapping = {(i, j): [(m, f1 * a) for m, a in coeffs] for i, j, coeffs in l1.brackets}
+    mapping.update(((i + d1, j + d1), [(m + d1, f2 * a) for m, a in coeffs])
+                   for i, j, coeffs in l2.brackets)
     labels = None
     if l1.labels is not None and l2.labels is not None:
         labels = l1.labels + l2.labels
-    return _make(d1 + d2, mapping, labels, validate=False)
+    return _make(d1 + l2.dim, denom, mapping, labels, validate=False)
 
 
 def change_of_basis(L: LieAlgebra, p: Matrix) -> LieAlgebra:
     """Same algebra on the basis f_i = sum_j P[i][j] e_j.
 
     P must be invertible (SingularMatrix otherwise).  All isomorphism
-    invariants are preserved.
+    invariants are preserved.  With P = Q/q for an integer matrix Q,
+    [f_i, f_j] = sum over the stored (a, b) of
+    (Q_ia Q_jb - Q_ib Q_ja) [e_a, e_b] / q^2, and the coordinates on the
+    f's are that times P^-1 = q Q^-1.  So each stored bracket is first
+    multiplied by Q^-1 = R/d, and every constant ends up over
+    q * d * denom.
     """
-    if p.rows != L.dim or p.cols != L.dim:
-        raise AmbientMismatch(
-            f"basis-change matrix must be {L.dim}x{L.dim}, got {p.rows}x{p.cols}"
-        )
-    inv = p.inverse()
-    mapping: dict[tuple[int, int], Vector] = {}
     n = L.dim
+    if p.rows != n or p.cols != n:
+        raise AmbientMismatch(
+            f"basis-change matrix must be {n}x{n}, got {p.rows}x{p.cols}"
+        )
+    q = lcm(*(x.denominator for x in p.entries))
+    rows = [[x.numerator * (q // x.denominator) for x in row] for row in p.iter_rows()]
+    d, inv = _inverse(rows)
+    images = []
+    for a, b, coeffs in L.brackets:
+        image: dict[int, int] = {}
+        for m, x in coeffs:
+            for t, y in inv[m].items():
+                image[t] = image.get(t, 0) + x * y
+        images.append((a, b, image))
+    mapping: dict[tuple[int, int], Iterable[tuple[int, int]]] = {}
     for i in range(n):
+        qi = rows[i]
         for j in range(i + 1, n):
-            w = L.bracket(p.row(i), p.row(j))
-            if any(w):
-                mapping[(i, j)] = vec_mat(w, inv)
-    return _make(n, mapping, validate=False)
+            qj = rows[j]
+            acc: dict[int, int] = {}
+            for a, b, image in images:
+                s = qi[a] * qj[b] - qi[b] * qj[a]
+                if s:
+                    for t, y in image.items():
+                        acc[t] = acc.get(t, 0) + s * y
+            if acc:
+                mapping[(i, j)] = acc.items()
+    return _make(n, q * d * L.denom, mapping, validate=False)

@@ -51,9 +51,9 @@ def _int(digits: str, line: int, column: int) -> int:
         _fail(f"number of {len(digits)} digits is too long", line, column)
 
 
-def _parse_terms(rhs: str, lineno: int, offset: int, dim: int) -> tuple[Fraction, ...]:
-    """Parse 'c1 ek1 + c2 ek2 - ...' into a coefficient vector."""
-    coeffs = [_ZERO] * dim
+def _parse_terms(rhs: str, lineno: int, offset: int, dim: int) -> dict[int, Fraction]:
+    """Parse 'c1 ek1 + c2 ek2 - ...' into coefficients keyed by the 1-based k."""
+    coeffs: dict[int, Fraction] = {}
     pos = 0
     first = True
     n = len(rhs)
@@ -98,9 +98,9 @@ def _parse_terms(rhs: str, lineno: int, offset: int, dim: int) -> tuple[Fraction
         if not (1 <= k <= dim):
             _fail(f"basis index e{k} outside 1..{dim}", lineno, offset + pos + 1)
         pos = m.end()
-        coeffs[k - 1] += sign * coeff
+        coeffs[k] = coeffs.get(k, _ZERO) + sign * coeff
         first = False
-    return tuple(coeffs)
+    return coeffs
 
 
 def parse(text: str) -> LieAlgebra:
@@ -111,7 +111,7 @@ def parse(text: str) -> LieAlgebra:
     validation.
     """
     dim: int | None = None
-    brackets: list[tuple[int, int, tuple[Fraction, ...]]] = []
+    brackets: list[tuple[int, int, dict[int, Fraction]]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         content = raw.split("#", 1)[0]
         stripped = content.strip()
@@ -148,13 +148,12 @@ def _render_coeff(c: Fraction, k: int, first: bool) -> str:
 def render(L: LieAlgebra) -> str:
     """Canonical lieconst v1 text for an algebra."""
     lines = [f"dim {L.dim}"]
-    for i, j, coeffs in L.table:
+    for i, j, coeffs in L.brackets:
         terms = ""
         first = True
-        for k, c in enumerate(coeffs, 1):
-            if c:
-                terms += _render_coeff(c, k, first)
-                first = False
+        for m, a in coeffs:
+            terms += _render_coeff(Fraction(a, L.denom), m + 1, first)
+            first = False
         lines.append(f"[e{i + 1},e{j + 1}] = {terms}")
     return "\n".join(lines) + "\n"
 

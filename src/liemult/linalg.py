@@ -1,18 +1,23 @@
 """Exact linear algebra over the rationals.
 
-Ranks, kernels, inverses and the subspace lattice (span, sum,
-intersection, membership).  Scalars are ``fractions.Fraction``; every
-elimination runs on one kernel, ``_echelon``, a fraction-free echelon
-of sparse integer vectors, and ``_subspace`` back-substitutes its
-output to the canonical reduced rows.  Membership is an echelon size
-too: v lies in A exactly when A's rows plus v still echelon to dim A
-vectors.  Rank decisions are exact by construction; no floating point
-enters anywhere.
+Ranks, inverses and the subspace lattice (span, sum, intersection,
+membership).  Every elimination runs on one kernel, ``_echelon``, a
+fraction-free echelon of sparse integer vectors, and ``_span``
+back-substitutes its output to the canonical reduced rows.  Membership
+is an echelon size too: v lies in A exactly when A's rows plus v still
+echelon to dim A vectors.  Rank decisions are exact by construction; no
+floating point enters anywhere.
 
-Subspaces are kept canonical: the basis is the reduced row echelon form
-of any spanning set, with unit pivots in strictly increasing columns,
-zeros above each pivot and no zero rows.  Two ``Subspace`` values
-therefore compare equal exactly when they describe the same subspace.
+A sparse integer vector is a ``{index: numerator}`` dict, or a sequence
+of ``(index, numerator)`` pairs, with zero entries left out.  A
+``Subspace`` stores its canonical reduced rows in that form: each row is
+a primitive integer vector (content 1) whose first entry, the pivot, is
+positive; pivots strictly increase from row to row and every row is
+zero at the other rows' pivots.  Scaling the reduced row echelon form's
+rows to primitive integers is unique, so two ``Subspace`` values compare
+equal exactly when they describe the same subspace.  ``basis_rows``
+derives the Fraction rows (unit pivots) on demand.  ``Matrix`` is the
+dense rational input of a base change.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 Vector = tuple[Fraction, ...]
+SparseRow = tuple[tuple[int, int], ...]
+IntVector = Union[dict[int, int], SparseRow]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -82,64 +89,12 @@ class Matrix:
             entries.extend(rat(x) for x in r)
         return cls(len(rows), width, tuple(entries))
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (_ZERO,) * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(
-            _ONE if r == c else _ZERO for r in range(n) for c in range(n)
-        ))
-
-    def at(self, r: int, c: int) -> Fraction:
-        return self.entries[r * self.cols + c]
-
     def row(self, r: int) -> Vector:
         return self.entries[r * self.cols:(r + 1) * self.cols]
 
     def iter_rows(self) -> Iterable[Vector]:
         for r in range(self.rows):
             yield self.row(r)
-
-    def inverse(self) -> "Matrix":
-        if self.rows != self.cols:
-            raise SingularMatrix(f"{self.rows}x{self.cols} matrix is not square")
-        n = self.rows
-        aug = Matrix.from_rows(
-            [list(self.row(r)) + list(unit_vector(n, r)) for r in range(n)],
-            cols=2 * n,
-        )
-        echelon = _echelon(_integer_rows(aug))
-        if sorted(echelon) != list(range(n)):
-            raise SingularMatrix("matrix is singular")
-        return Matrix.from_rows(
-            [row[n:] for row in _subspace(2 * n, echelon).basis_rows()], cols=n
-        )
-
-    def __repr__(self) -> str:
-        if self.rows * self.cols <= 64:
-            body = ", ".join(
-                "[" + ", ".join(str(x) for x in self.row(r)) + "]"
-                for r in range(self.rows)
-            )
-            return f"Matrix({self.rows}x{self.cols}: {body})"
-        return f"Matrix({self.rows}x{self.cols})"
-
-
-def vec_mat(v: Sequence[Fraction], m: Matrix) -> Vector:
-    """Row vector times matrix."""
-    if len(v) != m.rows:
-        raise AmbientMismatch(f"vector length {len(v)} != rows {m.rows}")
-    out = [_ZERO] * m.cols
-    for r, x in enumerate(v):
-        if x:
-            base = r * m.cols
-            for c in range(m.cols):
-                y = m.entries[base + c]
-                if y:
-                    out[c] += x * y
-    return tuple(out)
 
 
 class SparseMatrix:
@@ -194,16 +149,18 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={nnz}, denom={self.denom})"
 
 
-def _integer_rows(m: Matrix) -> Iterator[dict[int, int]]:
-    """Nonzero rows of a dense matrix as sparse integer vectors (row denominators cleared)."""
-    for row in m.iter_rows():
-        nz = {c: x for c, x in enumerate(row) if x}
+def _integer_rows(vectors: Iterable[Sequence[Scalar]], n: int) -> Iterator[dict[int, int]]:
+    """Nonzero length-n vectors as sparse integer vectors, each with its denominators cleared."""
+    for row in vectors:
+        if len(row) != n:
+            raise AmbientMismatch(f"vector length {len(row)} != ambient {n}")
+        nz = {c: y for c, x in enumerate(row) if (y := rat(x))}
         if nz:
             scale = lcm(*(x.denominator for x in nz.values()))
             yield {c: x.numerator * (scale // x.denominator) for c, x in nz.items()}
 
 
-def _echelon(vectors: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+def _echelon(vectors: Iterable[IntVector]) -> dict[int, dict[int, int]]:
     """Row echelon form of sparse integer vectors by fraction-free elimination.
 
     Returns the echelon keyed by pivot index; its size is the exact rank
@@ -271,20 +228,22 @@ def _back_substitute(echelon: dict[int, dict[int, int]]) -> dict[int, dict[int, 
     return reduced
 
 
-def _subspace(n: int, echelon: dict[int, dict[int, int]]) -> "Subspace":
-    """Canonical subspace of Q^n spanned by an echelon of sparse integer vectors."""
-    entries = []
-    reduced = _back_substitute(echelon)
-    for p in sorted(reduced):
-        v = reduced[p]
-        row = [_ZERO] * n
-        for c, x in v.items():
-            row[c] = Fraction(x, v[p])
-        entries.extend(row)
-    return Subspace(n, Matrix(len(reduced), n, tuple(entries)))
+def _span(n: int, vectors: Iterable[IntVector]) -> "Subspace":
+    """Canonical subspace of Q^n spanned by sparse integer vectors.
+
+    The reduced echelon vectors are scaled to primitive integers with a
+    positive pivot, which makes the rows canonical.
+    """
+    rows = []
+    for p, v in sorted(_back_substitute(_echelon(vectors)).items()):
+        g = gcd(*v.values())
+        if v[p] < 0:
+            g = -g
+        rows.append(tuple(sorted((c, x // g) for c, x in v.items())))
+    return Subspace(n, tuple(rows))
 
 
-def _kernel(n: int, vectors: Iterable[dict[int, int]]) -> "Subspace":
+def _kernel(n: int, vectors: Iterable[IntVector]) -> "Subspace":
     """Canonical subspace of the x in Q^n orthogonal to every given vector."""
     reduced = _back_substitute(_echelon(vectors))
     # x_f = d on a free index f forces x_p = -d * v[f] / v[p] for the
@@ -295,67 +254,77 @@ def _kernel(n: int, vectors: Iterable[dict[int, int]]) -> "Subspace":
         for c, x in v.items():
             if c != p:
                 free[c][p] = -x * (d // v[p])
-    return _subspace(n, _echelon(free.values()))
+    return _span(n, free.values())
+
+
+def _inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[dict[int, int]]]:
+    """``(d, R)`` with R/d the inverse of a square integer matrix, R as sparse rows.
+
+    Row p of the inverse is the right half of the reduced vector of
+    [Q | I] pivoting at p, divided by its pivot entry; the pivots are
+    0..n-1 exactly when Q is invertible, and SingularMatrix is raised
+    otherwise.
+    """
+    n = len(rows)
+    echelon = _echelon({**{c: x for c, x in enumerate(row) if x}, n + r: 1}
+                       for r, row in enumerate(rows))
+    if sorted(echelon) != list(range(n)):
+        raise SingularMatrix("matrix is singular")
+    reduced = _back_substitute(echelon)
+    d = lcm(*(v[p] for p, v in reduced.items()))
+    return d, [{c - n: x * (d // v[p]) for c, x in v.items() if c >= n}
+               for p, v in sorted(reduced.items())]
 
 
 def rank(m: Union[Matrix, SparseMatrix]) -> int:
     """Exact rank of a dense or sparse matrix, by one fraction-free sparse elimination."""
     if isinstance(m, SparseMatrix):
         return len(_echelon(m.columns.values()))
-    return len(_echelon(_integer_rows(m)))
+    return len(_echelon(_integer_rows(m.iter_rows(), m.cols)))
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^n held by its canonical reduced-row-echelon basis."""
+    """Subspace of Q^n held by its canonical reduced rows as sparse primitive integer vectors."""
 
     ambient_dim: int
-    basis: Matrix
-
-    def __post_init__(self) -> None:
-        if self.basis.cols != self.ambient_dim:
-            raise AmbientMismatch(
-                f"basis width {self.basis.cols} != ambient dim {self.ambient_dim}"
-            )
+    rows: tuple[SparseRow, ...]
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(n, Matrix(0, n, ()))
+        return cls(n, ())
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(n, Matrix.identity(n))
+        return cls(n, tuple(((i, 1),) for i in range(n)))
 
     @classmethod
-    def from_vectors(cls, n: int, vecs: Sequence[Sequence[Scalar]]) -> "Subspace":
-        return row_space(Matrix.from_rows(vecs, cols=n) if vecs else Matrix(0, n, ()))
+    def from_vectors(cls, n: int, vecs: Iterable[Sequence[Scalar]]) -> "Subspace":
+        return _span(n, _integer_rows(vecs, n))
 
-    def basis_rows(self) -> Iterable[Vector]:
-        return self.basis.iter_rows()
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, basis={self.basis!r})"
+    def basis_rows(self) -> Iterator[Vector]:
+        """The reduced rows as dense Fraction vectors with unit pivots."""
+        for row in self.rows:
+            out = [_ZERO] * self.ambient_dim
+            piv = row[0][1]
+            for c, x in row:
+                out[c] = Fraction(x, piv)
+            yield tuple(out)
 
 
 def row_space(m: Matrix) -> Subspace:
     """Canonical subspace spanned by the rows of ``m``."""
-    return _subspace(m.cols, _echelon(_integer_rows(m)))
-
-
-def kernel_basis(m: Matrix) -> Subspace:
-    """Canonical basis of the right kernel { v : m v = 0 }."""
-    return _kernel(m.cols, _integer_rows(m))
+    return Subspace.from_vectors(m.cols, m.iter_rows())
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch(f"ambient dims {a.ambient_dim} != {b.ambient_dim}")
-    rows = list(a.basis_rows()) + list(b.basis_rows())
-    return Subspace.from_vectors(a.ambient_dim, rows)
+    return _span(a.ambient_dim, a.rows + b.rows)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -367,17 +336,12 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch(f"ambient dims {a.ambient_dim} != {b.ambient_dim}")
     n = a.ambient_dim
-    rows = [{**v, **{c + n: x for c, x in v.items()}} for v in _integer_rows(a.basis)]
-    rows.extend(_integer_rows(b.basis))
-    echelon = _echelon(rows)
-    return _subspace(n, {p - n: {c - n: x for c, x in v.items()}
-                         for p, v in echelon.items() if p >= n})
+    rows = [{**dict(v), **{c + n: x for c, x in v}} for v in a.rows]
+    rows.extend(b.rows)
+    return _span(n, [{c - n: x for c, x in v.items()}
+                     for p, v in _echelon(rows).items() if p >= n])
 
 
-def contains(a: Subspace, v: Sequence[Fraction]) -> bool:
+def contains(a: Subspace, v: Sequence[Scalar]) -> bool:
     """Exact membership: v lies in A iff the echelon of A's rows plus v keeps size dim A."""
-    n = a.ambient_dim
-    if len(v) != n:
-        raise AmbientMismatch(f"vector length {len(v)} != ambient {n}")
-    rows = Matrix(a.dim + 1, n, a.basis.entries + vector(v))
-    return len(_echelon(_integer_rows(rows))) == a.dim
+    return len(_echelon([*a.rows, *_integer_rows([v], a.ambient_dim)])) == a.dim

@@ -5,9 +5,9 @@ exterior chain complex Lambda^3 L -> Lambda^2 L -> L with trivial
 coefficients: dim M = C(n,2) - rank(d2) - rank(d3).  Both exterior bases
 are lexicographically ordered tuples, so the boundary matrices are
 bit-reproducible.  The boundaries are sparse integer matrices over the
-table's common denominator, generated from the stored brackets, so
-building, checking and ranking them costs what their nonzero entries
-cost rather than the C(n,2) x C(n,3) shape.
+algebra's stored common denominator, generated from its stored integer
+brackets, so building, checking and ranking them costs what their
+nonzero entries cost rather than the C(n,2) x C(n,3) shape.
 
 Also provided as executable checks with witnesses: additivity of the
 multiplier over direct sums (with the abelianization tensor term), the
@@ -25,7 +25,6 @@ from typing import Optional
 from .liealg import (
     LieAlgebra,
     NotNilpotent,
-    _integer_table,
     center,
     derived_subalgebra,
     direct_sum,
@@ -58,10 +57,9 @@ def _triple_offsets(n: int) -> tuple[list[int], list[int]]:
 def ce_d2(L: LieAlgebra) -> SparseMatrix:
     """Boundary Lambda^2 -> Lambda^1: column (i,j) is [e_i, e_j]."""
     n = L.dim
-    denom, table = _integer_table(L)
     pair = _pair_offsets(n)
-    return SparseMatrix(n, comb(n, 2), denom,
-                        {pair[i] + j: dict(coeffs) for i, j, coeffs in table})
+    return SparseMatrix(n, comb(n, 2), L.denom,
+                        {pair[i] + j: dict(coeffs) for i, j, coeffs in L.brackets})
 
 
 def ce_d3(L: LieAlgebra) -> SparseMatrix:
@@ -70,14 +68,13 @@ def ce_d3(L: LieAlgebra) -> SparseMatrix:
     Column (i,j,k) is [e_i,e_j]^e_k - [e_i,e_k]^e_j + [e_j,e_k]^e_i on
     the lex-ordered wedge bases.  Only triples that contain a stored
     bracket's pair can be nonzero, so the columns are generated from the
-    table: each bracket [e_a,e_b] meets every third index t once.
+    stored brackets: each bracket [e_a,e_b] meets every third index t once.
     """
     n = L.dim
-    denom, table = _integer_table(L)
     pair = _pair_offsets(n)
     first, second = _triple_offsets(n)
     columns: dict[int, dict[int, int]] = {}
-    for a, b, coeffs in table:
+    for a, b, coeffs in L.brackets:
         for t in range(n):
             # the sorted triple {a, b, t}; the term [e_a,e_b]^e_t has sign
             # -1 exactly when t sits in the middle
@@ -98,7 +95,7 @@ def ce_d3(L: LieAlgebra) -> SparseMatrix:
                 elif m > t:
                     r = pair[t] + m
                     entries[r] = entries.get(r, 0) - sign * x
-    return SparseMatrix(comb(n, 2), comb(n, 3), denom, columns)
+    return SparseMatrix(comb(n, 2), comb(n, 3), L.denom, columns)
 
 
 def _check_complex(d2: SparseMatrix, d3: SparseMatrix) -> None:

@@ -16,10 +16,11 @@ random central quotients, which stay inside the nilpotent class.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Optional, Sequence
 
 from .liealg import LieAlgebra, change_of_basis, center, quotient
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, _span
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
@@ -92,18 +93,20 @@ def random_central_subspace(L: LieAlgebra, rng: Lcg,
     if z.dim == 0 or min_dim > z.dim:
         return Subspace.zero(L.dim)
     d = rng.randint(min_dim, z.dim)
+    # the reduced rows with unit pivots are z.rows divided by their
+    # pivots; scaling all of them by the lcm of the pivots keeps the span
+    pivots = lcm(*(row[0][1] for row in z.rows))
     vecs = []
     for _ in range(d):
         coeffs = [rng.randint(-2, 2) for _ in range(z.dim)]
-        v = [0] * L.dim
-        for idx, w in enumerate(coeffs):
+        v: dict[int, int] = {}
+        for w, row in zip(coeffs, z.rows):
             if w:
-                row = z.basis.row(idx)
-                for c in range(L.dim):
-                    if row[c]:
-                        v[c] += w * row[c]
-        vecs.append(v)
-    return Subspace.from_vectors(L.dim, vecs)
+                f = w * (pivots // row[0][1])
+                for c, x in row:
+                    v[c] = v.get(c, 0) + f * x
+        vecs.append({c: x for c, x in v.items() if x})
+    return _span(L.dim, vecs)
 
 
 def random_central_quotient(L: LieAlgebra, rng: Lcg) -> Optional[LieAlgebra]:

@@ -321,6 +321,15 @@ SUITES: dict[str, Callable[..., SuiteReport]] = {
     "classification": run_classification,
 }
 
+# the run_suite arguments each suite reads; it accepts and ignores the others
+SUITE_FLAGS: dict[str, tuple[str, ...]] = {
+    "formulas": ("max_m", "max_k"),
+    "bounds": ("max_m", "max_k", "seed"),
+    "kunneth": (),
+    "quotient": ("max_m", "max_k", "seed"),
+    "classification": ("max_m", "max_k", "max_n", "seed"),
+}
+
 
 def run_suite(name: str, max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
               max_n: int = DEFAULT_MAX_N, seed: int = DEFAULT_SEED) -> SuiteReport:

@@ -1,0 +1,127 @@
+"""Dense Fraction references for the tests.
+
+The package computes on sparse integer brackets; these routines compute
+the same things the direct way, on ``LieAlgebra.table`` (the dense
+Fraction view) and dense Fraction vectors, so they share no code with
+what they check.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+
+from liemult.liealg import _make
+from liemult.linalg import AmbientMismatch, SingularMatrix
+
+_ZERO = Fraction(0)
+
+
+def from_fractions(n, mapping):
+    """An unvalidated algebra from {(i, j): dense coefficient vector}, 0-based."""
+    coeffs = {key: [(m, Fraction(x)) for m, x in enumerate(c) if x]
+              for key, c in mapping.items()}
+    denom = lcm(*(x.denominator for c in coeffs.values() for _, x in c))
+    return _make(n, denom, {key: [(m, x.numerator * (denom // x.denominator)) for m, x in c]
+                            for key, c in coeffs.items()}, validate=False)
+
+
+@lru_cache(maxsize=256)
+def _by_pair(L):
+    return {(i, j): c for i, j, c in L.table}
+
+
+def bracket_basis(L, i, j):
+    """[e_i, e_j] for any 0-based i, j, with the sign handled."""
+    if i < j and (i, j) in _by_pair(L):
+        return _by_pair(L)[(i, j)]
+    if j < i and (j, i) in _by_pair(L):
+        return tuple(-x for x in _by_pair(L)[(j, i)])
+    return (_ZERO,) * L.dim
+
+
+def bracket_vec_basis(L, v, t):
+    """[v, e_t] for a coefficient vector v."""
+    acc = [_ZERO] * L.dim
+    for m, vm in enumerate(v):
+        if vm:
+            for idx, cv in enumerate(bracket_basis(L, m, t)):
+                if cv:
+                    acc[idx] += vm * cv
+    return tuple(acc)
+
+
+def bracket(L, x, y):
+    """Bilinear, antisymmetric extension of the structure constants."""
+    if len(x) != L.dim or len(y) != L.dim:
+        raise AmbientMismatch(f"bracket arguments must have length {L.dim}")
+    acc = [_ZERO] * L.dim
+    for (i, j), c in _by_pair(L).items():
+        w = x[i] * y[j] - x[j] * y[i]
+        if w:
+            for idx, cv in enumerate(c):
+                if cv:
+                    acc[idx] += w * cv
+    return tuple(acc)
+
+
+def jacobi_defect(L, i, j, k):
+    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j], 0-based."""
+    a = bracket_vec_basis(L, bracket_basis(L, i, j), k)
+    b = bracket_vec_basis(L, bracket_basis(L, j, k), i)
+    c = bracket_vec_basis(L, bracket_basis(L, k, i), j)
+    return tuple(x + y + z for x, y, z in zip(a, b, c))
+
+
+def brackets_with_basis(L, v):
+    """The nonzero [v, e_j], j = 0..n-1, formed in Fractions from the table."""
+    n = L.dim
+    acc = {}
+    for a, b, c in L.table:
+        # [e_a, e_b] = c feeds [v, e_b] with v_a and [v, e_a] with -v_b
+        for j, f in ((b, v[a]), (a, -v[b])):
+            if f:
+                out = acc.setdefault(j, [_ZERO] * n)
+                for idx, cv in enumerate(c):
+                    out[idx] += f * cv
+    return [tuple(out) for _, out in sorted(acc.items()) if any(out)]
+
+
+def vec_mat(v, rows):
+    """Row vector times the matrix with the given rows."""
+    out = [_ZERO] * (len(rows[0]) if rows else 0)
+    for x, row in zip(v, rows):
+        if x:
+            for c, y in enumerate(row):
+                out[c] += x * y
+    return tuple(out)
+
+
+def inverse(rows):
+    """Inverse of a square matrix by Gauss-Jordan over Fractions, as a list of rows."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(n)]
+           for r, row in enumerate(rows)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if aug[r][c]), None)
+        if piv is None:
+            raise SingularMatrix("matrix is singular")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
+    return [tuple(row[n:]) for row in aug]
+
+
+def change_of_basis_table(L, p):
+    """The table of L on the basis f_i = sum_j P[i][j] e_j: [p_i, p_j] P^-1 for every pair."""
+    rows = list(p.iter_rows())
+    inv = inverse(rows)
+    out = []
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            w = bracket(L, rows[i], rows[j])
+            if any(w):
+                out.append((i, j, vec_mat(w, inv)))
+    return tuple(out)

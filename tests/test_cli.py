@@ -180,3 +180,46 @@ def test_verify_reports_are_deterministic(capsys):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+NON_NILPOTENT = {
+    "sl2": "dim 3\n[e1,e2] = e3\n[e1,e3] = -2 e1\n[e2,e3] = 2 e2\n",
+    "so3": "dim 3\n[e1,e2] = e3\n[e1,e3] = -e2\n[e2,e3] = e1\n",
+    "affine2": "dim 2\n[e1,e2] = e2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_NILPOTENT))
+def test_non_nilpotent_multiplier_and_classify(capsys, tmp_path, name):
+    # sl2 and so(3) are simple, so M = 0 by Whitehead's second lemma; on
+    # the 2-dim non-abelian algebra d2 is injective, so M = 0 as well
+    path = tmp_path / f"{name}.lie"
+    path.write_text(NON_NILPOTENT[name])
+    n = int(NON_NILPOTENT[name].split()[1])
+    code, out, err = run(capsys, "multiplier", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == [f"n={n}", "dimM=0"]
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 0 and "nilpotent=no" in out
+    code, out, err = run(capsys, "classify", str(path))
+    assert (code, out) == (4, "")
+    assert err == "error: classification requires a nilpotent algebra\n"
+
+
+@pytest.mark.parametrize("suite", ["formulas", "bounds", "kunneth", "quotient", "classification"])
+def test_verify_ignored_flags_leave_report_unchanged(capsys, suite):
+    from liemult.verify import SUITE_FLAGS
+
+    # the flags a suite reads stay at small caps; the others are left at
+    # their defaults, then set one by one to a value that is not the default
+    small = {"max_m": "2", "max_k": "1", "max_n": "5", "seed": "7"}
+    other = {"max_m": "3", "max_k": "2", "max_n": "6", "seed": "11"}
+    used = SUITE_FLAGS[suite]
+    args = ["verify", "--suite", suite]
+    for flag in used:
+        args += ["--" + flag.replace("_", "-"), small[flag]]
+    code, expected, _ = run(capsys, *args)
+    assert code == 0 and expected.endswith("result=pass\n")
+    for flag in sorted(set(small) - set(used)):
+        code, out, _ = run(capsys, *args, "--" + flag.replace("_", "-"), other[flag])
+        assert (code, out) == (0, expected), flag

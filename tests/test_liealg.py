@@ -17,7 +17,6 @@ from liemult.liealg import (
     DuplicateBracket,
     IndexOutOfRange,
     JacobiViolation,
-    _make,
     build,
     center,
     change_of_basis,
@@ -25,11 +24,10 @@ from liemult.liealg import (
     direct_sum,
     first_jacobi_violation,
     is_ideal,
-    jacobi_defect,
     lower_central_series,
     quotient,
 )
-from liemult.linalg import Matrix, Subspace, subspace_sum, vector
+from liemult.linalg import Matrix, SingularMatrix, Subspace, subspace_sum, vector
 from liemult.randgen import (
     Lcg,
     random_central_quotient,
@@ -38,15 +36,29 @@ from liemult.randgen import (
     random_unimodular,
 )
 
+from fraction_reference import (
+    bracket,
+    bracket_basis,
+    brackets_with_basis,
+    change_of_basis_table,
+    from_fractions,
+    jacobi_defect,
+)
+
 
 def e(n, k):
     return [1 if c == k else 0 for c in range(1, n + 1)]
 
 
+def identity(n):
+    return Matrix.from_rows([e(n, k) for k in range(1, n + 1)], cols=n)
+
+
 def test_build_heisenberg():
     h1 = build(3, [(1, 2, e(3, 3))])
     assert h1.dim == 3
-    assert h1.bracket_basis(0, 1) == vector([0, 0, 1])
+    assert (h1.denom, h1.brackets) == (1, ((0, 1, ((2, 1),)),))
+    assert bracket_basis(h1, 0, 1) == vector([0, 0, 1])
     assert h1 == heisenberg(1).algebra
 
 
@@ -91,11 +103,11 @@ def test_build_rejects_duplicates():
 def test_bracket_bilinear_antisymmetric():
     h1 = heisenberg(1).algebra
     e1, e2 = vector([1, 0, 0]), vector([0, 1, 0])
-    assert h1.bracket(e1, e2) == vector([0, 0, 1])
-    assert h1.bracket(e2, e1) == vector([0, 0, -1])
+    assert bracket(h1, e1, e2) == vector([0, 0, 1])
+    assert bracket(h1, e2, e1) == vector([0, 0, -1])
     x = vector([2, 3, -1])
-    assert h1.bracket(x, x) == vector([0, 0, 0])
-    assert h1.bracket(x, e2) == vector([0, 0, 2])
+    assert bracket(h1, x, x) == vector([0, 0, 0])
+    assert bracket(h1, x, e2) == vector([0, 0, 2])
 
 
 def test_bracket_rejects_length_mismatch():
@@ -103,7 +115,7 @@ def test_bracket_rejects_length_mismatch():
 
     h1 = heisenberg(1).algebra
     with pytest.raises(AmbientMismatch):
-        h1.bracket(vector([1, 0]), vector([0, 1, 0]))
+        bracket(h1, vector([1, 0]), vector([0, 1, 0]))
 
 
 def test_derived_subalgebra_examples():
@@ -127,7 +139,7 @@ def test_center_brackets_vanish():
         for row in z.basis_rows():
             for j in range(alg.dim):
                 ej = vector(e(alg.dim, j + 1))
-                assert not any(alg.bracket(row, ej))
+                assert not any(bracket(alg, row, ej))
 
 
 def test_lower_central_series_examples():
@@ -212,22 +224,28 @@ def test_direct_sum_derived_dims_add():
 
 def test_change_of_basis_identity():
     alg = l_3_4_1_4().algebra
-    assert change_of_basis(alg, Matrix.identity(4)) == alg
+    assert change_of_basis(alg, identity(4)) == alg
 
 
 def test_change_of_basis_scaling():
     h1 = heisenberg(1).algebra
     p = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
     moved = change_of_basis(h1, p)
-    assert moved.bracket_basis(0, 1) == vector([0, 0, "1/2"])
+    assert (moved.denom, moved.brackets) == (2, ((0, 1, ((2, 1),)),))
+    assert bracket_basis(moved, 0, 1) == vector([0, 0, "1/2"])
 
 
 def test_change_of_basis_rejects_singular():
-    from liemult.linalg import SingularMatrix
+    from liemult.linalg import AmbientMismatch
 
     with pytest.raises(SingularMatrix):
         change_of_basis(heisenberg(1).algebra,
                         Matrix.from_rows([[1, 0, 0], [1, 0, 0], [0, 0, 1]]))
+    with pytest.raises(SingularMatrix):
+        change_of_basis(heisenberg(1).algebra,
+                        Matrix.from_rows([[1, 2, 0], ["1/2", 1, 0], [0, 0, 1]]))
+    with pytest.raises(AmbientMismatch):
+        change_of_basis(heisenberg(1).algebra, Matrix.from_rows([[1, 0, 0]]))
 
 
 def test_change_of_basis_preserves_series_report():
@@ -280,7 +298,7 @@ def _random_table(rng):
             if rng.randint(0, 2) == 0:
                 mapping[(i, j)] = [_draw_rational(rng) if rng.randint(0, 2) == 0 else 0
                                    for _ in range(n)]
-        return _make(n, mapping, validate=False)
+        return from_fractions(n, mapping)
     alg = rng.choice(_SMALL_CATALOG)
     n = alg.dim
     u = random_unimodular(n, rng, steps=3 * n)
@@ -291,7 +309,7 @@ def _random_table(rng):
         mapping = {(i, j): list(c) for i, j, c in alg.table}
         c = mapping[rng.choice(sorted(mapping))]
         c[rng.randint(0, n - 1)] += Fraction(rng.randint(1, 2), rng.choice((1, 2, 3)))
-        alg = _make(n, mapping, validate=False)
+        alg = from_fractions(n, mapping)
     return alg
 
 
@@ -315,20 +333,6 @@ def test_first_jacobi_violation_matches_brute_force_scan():
     assert 300 < invalid < 900
 
 
-def _brackets_with_basis(L, v):
-    """The nonzero [v, e_j], j = 0..n-1, formed in Fractions from the table."""
-    n = L.dim
-    acc = {}
-    for a, b, c in L.table:
-        # [e_a, e_b] = c feeds [v, e_b] with v_a and [v, e_a] with -v_b
-        for j, f in ((b, v[a]), (a, -v[b])):
-            if f:
-                out = acc.setdefault(j, [Fraction(0)] * n)
-                for idx, cv in enumerate(c):
-                    out[idx] += f * cv
-    return [tuple(out) for _, out in sorted(acc.items()) if any(out)]
-
-
 def _sympy_rows(sympy, vecs):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v]
                          for v in vecs])
@@ -344,7 +348,7 @@ def _reference_lcs_dims(sympy, alg):
     dims = [n]
     cur = [tuple(Fraction(x) for x in e(n, k)) for k in range(1, n + 1)]
     while cur:
-        vecs = [v for row in cur for v in _brackets_with_basis(alg, row)]
+        vecs = [v for row in cur for v in brackets_with_basis(alg, row)]
         nxt = []
         if vecs:
             reduced, pivots = _sympy_rows(sympy, vecs).rref()
@@ -406,7 +410,7 @@ def test_center_matches_sympy_nullspace():
         n = alg.dim
         # row (j, t), column m: the coefficient of e_t in [e_m, e_j]
         adjoint = sympy.Matrix(n * n, n, lambda r, m: sympy.Rational(
-            alg.bracket_basis(m, r // n)[r % n]))
+            bracket_basis(alg, m, r // n)[r % n]))
         nullspace = adjoint.nullspace()
         expected = []
         if nullspace:
@@ -429,7 +433,7 @@ def test_is_ideal_matches_bracket_membership():
                 s = subspace_sum(s, derived_subalgebra(alg))
             # [L, S] lies in S iff stacking every [s, e_j] under S keeps sympy's rank at dim S
             rows = list(s.basis_rows())
-            brackets = [alg.bracket(row, tuple(Fraction(x) for x in e(n, j)))
+            brackets = [bracket(alg, row, tuple(Fraction(x) for x in e(n, j)))
                         for row in rows for j in range(1, n + 1)]
             expected = _sympy_rows(sympy, rows + brackets).rank() == s.dim
             assert is_ideal(alg, s) == expected
@@ -461,7 +465,7 @@ def _reference_quotient(sympy, alg, k):
 
     brackets = []
     for a, b in combinations(range(n - r), 2):
-        w = project(alg.bracket_basis(chosen[a], chosen[b]))
+        w = project(bracket_basis(alg, chosen[a], chosen[b]))
         if any(w):
             brackets.append((a + 1, b + 1, w))
     return build(n - r, brackets), project
@@ -481,7 +485,32 @@ def test_quotient_matches_greedy_sympy_reference():
             for _ in range(3):
                 x = vector([rng.randint(-3, 3) for _ in range(n)])
                 y = vector([rng.randint(-3, 3) for _ in range(n)])
-                assert project(alg.bracket(x, y)) == q.bracket(project(x), project(y))
+                assert project(bracket(alg, x, y)) == bracket(q, project(x), project(y))
+
+
+def _reference_central_subspace(alg, rng, min_dim):
+    """Random integer combinations of the center's unit-pivot Fraction rows."""
+    n = alg.dim
+    z = list(center(alg).basis_rows())
+    if not z or min_dim > len(z):
+        return Subspace.zero(n)
+    vecs = []
+    for _ in range(rng.randint(min_dim, len(z))):
+        coeffs = [rng.randint(-2, 2) for _ in range(len(z))]
+        vecs.append([sum((w * row[c] for w, row in zip(coeffs, z)), Fraction(0))
+                     for c in range(n)])
+    return Subspace.from_vectors(n, vecs)
+
+
+def test_random_central_subspace_matches_fraction_reference():
+    # the verify suites draw from catalog centers, whose pivots are all 1;
+    # base changes give centers whose primitive rows have other pivots
+    seeds = Lcg(48)
+    for alg in _base_changes(Lcg(49)):
+        for min_dim in (0, 1):
+            seed = seeds.next_u32()
+            got = random_central_subspace(alg, Lcg(seed), min_dim)
+            assert got == _reference_central_subspace(alg, Lcg(seed), min_dim)
 
 
 def test_hash_ignores_labels_and_survives_rebuild():
@@ -493,3 +522,53 @@ def test_hash_ignores_labels_and_survives_rebuild():
     assert rebuilt is not moved
     assert rebuilt == moved and hash(rebuilt) == hash(moved)
     assert center(rebuilt) is center(moved)
+
+
+def test_change_of_basis_matches_fraction_reference():
+    # the CLI reports are invariant under base change, so only a direct
+    # comparison of the tables sees a wrongly transported bracket
+    from liemult.catalog import standard_entries
+
+    rng = Lcg(47)
+    draws = 0
+    for entry in standard_entries(4, 3):
+        alg = entry.algebra
+        n = alg.dim
+        if n < 2:
+            continue
+        for trial in range(8):
+            p = random_unimodular(n, rng, steps=3 * n)
+            if trial >= 4:
+                # scaled rows put denominators into P and into the constants
+                scale = [Fraction(rng.randint(1, 4) * rng.choice((-1, 1)), rng.randint(1, 3))
+                         for _ in range(n)]
+                p = Matrix.from_rows([[s * x for x in row] for s, row in zip(scale, p.iter_rows())])
+            assert change_of_basis(alg, p).table == change_of_basis_table(alg, p)
+            draws += 1
+        # a repeated row, scaled, makes P singular
+        rows = [list(row) for row in random_unimodular(n, rng).iter_rows()]
+        f = Fraction(rng.randint(1, 3), 2)
+        rows[-1] = [f * x for x in rows[0]]
+        with pytest.raises(SingularMatrix):
+            change_of_basis(alg, Matrix.from_rows(rows))
+    assert draws == 208
+
+
+def test_structure_of_abelian_4000_stays_linear_in_memory():
+    # an abelian table has no brackets: the center is the whole space and
+    # the series is (n, 0), held as n unit rows, not an n x n matrix
+    import tracemalloc
+
+    n = 4000
+    alg = abelian(n).algebra
+    for fn in (center.__wrapped__, lower_central_series.__wrapped__):
+        tracemalloc.start()
+        try:
+            fn(alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # n^2 references alone would take 8 n^2 bytes = 128 MB
+        assert peak < 8 * 2 ** 20
+    assert center(alg) == Subspace.full(n)
+    assert lower_central_series(alg).lcs_dims == (n, 0)

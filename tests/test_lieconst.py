@@ -25,7 +25,8 @@ def test_parse_l3414():
 
 def test_parse_coefficients_and_signs():
     alg = parse("dim 3\n[e1,e2] = 2 e1 - 1/2 e3\n")
-    assert alg.bracket_basis(0, 1) == vector([2, 0, "-1/2"])
+    assert alg.table == ((0, 1, vector([2, 0, "-1/2"])),)
+    assert (alg.denom, alg.brackets) == (2, ((0, 1, ((0, 4), (2, -1))),))
     same = parse("dim 3\n[e1,e2] = -1/2 e3 + 2 e1\n")
     assert same == alg
 

@@ -9,49 +9,73 @@ from liemult.linalg import (
     Matrix,
     SingularMatrix,
     Subspace,
+    _integer_rows,
+    _inverse,
+    _kernel,
     contains,
-    kernel_basis,
     rank,
     row_space,
     subspace_intersect,
     subspace_sum,
     unit_vector,
-    vec_mat,
     vector,
 )
 from liemult.randgen import Lcg
+
+from fraction_reference import vec_mat
 
 
 def M(rows, cols=None):
     return Matrix.from_rows(rows, cols=cols)
 
 
-# row_space(m).basis is the reduced row echelon form (rref) of m with the
-# zero rows dropped: unit pivots in increasing columns, zeros above each
-def test_rref_identity():
-    reduced = row_space(Matrix.identity(3))
-    assert reduced.basis == Matrix.identity(3)
+def identity(n):
+    return M([[int(r == c) for c in range(n)] for r in range(n)])
+
+
+def zero(rows, cols):
+    return M([[0] * cols for _ in range(rows)], cols=cols)
+
+
+def kernel(m):
+    """The kernel { v : m v = 0 } on the routine that computes the center."""
+    return _kernel(m.cols, _integer_rows(m.iter_rows(), m.cols))
+
+
+# row_space(m).basis_rows() is the reduced row echelon form (rref) of m
+# with the zero rows dropped: unit pivots in increasing columns, zeros
+# above each; the stored rows are those rows scaled to primitive integers
+def test_row_space_identity():
+    reduced = row_space(identity(3))
+    assert list(reduced.basis_rows()) == list(identity(3).iter_rows())
+    assert reduced.rows == (((0, 1),), ((1, 1),), ((2, 1),))
     assert reduced.dim == 3
 
 
-def test_rref_zero():
-    reduced = row_space(Matrix.zero(2, 4))
-    assert reduced.basis == Matrix(0, 4, ())
+def test_row_space_zero():
+    reduced = row_space(zero(2, 4))
+    assert list(reduced.basis_rows()) == []
     assert reduced == Subspace.zero(4)
 
 
-def test_rref_dependent_rows():
-    assert row_space(M([[1, 2], [2, 4]])).basis == M([[1, 2]])
+def test_row_space_dependent_rows():
+    reduced = row_space(M([[1, 2], [2, 4]]))
+    assert list(reduced.basis_rows()) == [vector([1, 2])]
 
 
-def test_rref_clears_above_and_normalizes():
+def test_row_space_clears_above_and_normalizes():
     reduced = Subspace.from_vectors(3, [[0, 2, 4], [3, 3, 3]])
-    assert reduced.basis == M([[1, 0, "-1"], [0, 1, 2]])
+    assert list(reduced.basis_rows()) == [vector([1, 0, -1]), vector([0, 1, 2])]
+    assert reduced.rows == (((0, 1), (2, -1)), ((1, 1), (2, 2)))
+    # rows are primitive integers with a positive pivot
+    halves = Subspace.from_vectors(2, [["-1/2", "1/3"]])
+    assert halves.rows == (((0, 3), (1, -2)),)
+    assert list(halves.basis_rows()) == [vector([1, "-2/3"])]
 
 
 def test_rank_examples():
-    assert rank(Matrix.identity(4)) == 4
-    assert rank(Matrix.zero(3, 5)) == 0
+    assert rank(identity(4)) == 4
+    assert rank(zero(3, 5)) == 0
     assert rank(M([[1, 2], [2, 4], [3, 6]])) == 1
 
 
@@ -61,15 +85,15 @@ def test_rank_rational_entries():
 
 
 def test_kernel_zero_matrix_is_full_space():
-    assert kernel_basis(Matrix.zero(2, 3)) == Subspace.full(3)
+    assert kernel(zero(2, 3)) == Subspace.full(3)
 
 
 def test_kernel_identity_is_zero_space():
-    assert kernel_basis(Matrix.identity(3)) == Subspace.zero(3)
+    assert kernel(identity(3)) == Subspace.zero(3)
 
 
 def test_kernel_single_relation():
-    ker = kernel_basis(M([[1, 1, 0]]))
+    ker = kernel(M([[1, 1, 0]]))
     assert ker.dim == 2
     assert contains(ker, vector([1, -1, 0]))
     assert contains(ker, vector([0, 0, 1]))
@@ -78,15 +102,15 @@ def test_kernel_single_relation():
 
 def test_kernel_vectors_annihilate():
     m = M([[1, 2, 3, 4], [0, 1, 1, 0], [1, 3, 4, 4]])
-    ker = kernel_basis(m)
+    ker = kernel(m)
     assert ker.dim == 4 - rank(m)
     for row in ker.basis_rows():
         assert not any(sum(x * y for x, y in zip(r, row)) for r in m.iter_rows())
 
 
 def test_row_space_examples():
-    assert row_space(Matrix.identity(3)) == Subspace.full(3)
-    assert row_space(Matrix.zero(2, 3)) == Subspace.zero(3)
+    assert row_space(identity(3)) == Subspace.full(3)
+    assert row_space(zero(2, 3)) == Subspace.zero(3)
     assert row_space(M([[1, 0], [1, 1]])) == Subspace.full(2)
 
 
@@ -134,18 +158,28 @@ def test_ambient_mismatch_errors():
         subspace_intersect(a, b)
     with pytest.raises(AmbientMismatch):
         contains(a, vector([1, 0, 0]))
+    with pytest.raises(AmbientMismatch):
+        Subspace.from_vectors(3, [[1, 0]])
+
+
+def _fraction_inverse(rows):
+    """R/d of ``_inverse`` as dense Fraction rows."""
+    d, inv = _inverse(rows)
+    return [tuple(Fraction(row.get(c, 0), d) for c in range(len(rows))) for row in inv]
 
 
 def test_inverse_round_trip():
-    m = M([[1, 2], [3, 5]])
-    inv = m.inverse()
-    assert inv == M([[-5, 2], [3, -1]])
-    assert [vec_mat(row, inv) for row in m.iter_rows()] == list(Matrix.identity(2).iter_rows())
-    assert Matrix(0, 0, ()).inverse() == Matrix(0, 0, ())
+    rows = [[1, 2], [3, 5]]
+    assert _inverse(rows) == (1, [{0: -5, 1: 2}, {0: 3, 1: -1}])
+    inv = _fraction_inverse([[2, 0], [1, 4]])
+    assert inv == [vector(["1/2", 0]), vector(["-1/8", "1/4"])]
+    products = [vec_mat(row, inv) for row in M([[2, 0], [1, 4]]).iter_rows()]
+    assert products == list(identity(2).iter_rows())
+    assert _inverse([]) == (1, [])
     with pytest.raises(SingularMatrix):
-        M([[1, 2], [2, 4]]).inverse()
+        _inverse([[1, 2], [2, 4]])
     with pytest.raises(SingularMatrix):
-        M([[1, 2, 3]]).inverse()
+        _inverse([[0, 0], [0, 0]])
 
 
 def _random_matrix(rng, rows, cols):
@@ -182,7 +216,7 @@ def test_kernel_basis_spans_sympy_nullspace():
     rng = Lcg(107)
     for _ in range(60):
         m = _random_matrix(rng, rng.randint(0, 7), rng.randint(1, 7))
-        ker = kernel_basis(m)
+        ker = kernel(m)
         nullspace = _from_sympy(v.T for v in _to_sympy(sympy, m).nullspace())
         assert ker.dim == len(nullspace)
         assert all(contains(ker, v) for v in nullspace)
@@ -194,15 +228,16 @@ def test_inverse_matches_sympy_inv():
     singular = 0
     for _ in range(60):
         n = rng.randint(1, 5)
-        m = _random_matrix(rng, n, n)
-        oracle = _to_sympy(sympy, m)
+        # the inverse of an integer matrix Q; change_of_basis writes P as Q/q
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        oracle = sympy.Matrix(rows)
         if oracle.det() == 0:
             singular += 1
             with pytest.raises(SingularMatrix):
-                m.inverse()
+                _inverse(rows)
             continue
         inv = oracle.inv()
-        assert list(m.inverse().iter_rows()) == _from_sympy(inv.row(r) for r in range(n))
+        assert _fraction_inverse(rows) == _from_sympy(inv.row(r) for r in range(n))
     assert 0 < singular < 60
 
 
@@ -214,7 +249,7 @@ def test_subspace_intersect_dim_matches_sympy_rank():
         n = rng.randint(1, 6)
         a = row_space(_random_matrix(rng, rng.randint(0, n), n))
         b = row_space(_random_matrix(rng, rng.randint(0, n), n))
-        stacked = Matrix(a.dim + b.dim, n, a.basis.entries + b.basis.entries)
+        stacked = M([*a.basis_rows(), *b.basis_rows()], cols=n)
         meet = subspace_intersect(a, b)
         assert meet.dim == a.dim + b.dim - _to_sympy(sympy, stacked).rank()
         assert all(contains(a, v) and contains(b, v) for v in meet.basis_rows())
@@ -231,10 +266,11 @@ def test_contains_matches_sympy_rank():
         rows = 0 if trial % 10 == 0 else rng.randint(0, n)
         s = row_space(_random_matrix(rng, rows, n))
         # a combination of the basis rows lies in S; shifting one entry usually leaves it
-        member = vec_mat(_random_matrix(rng, 1, s.dim).row(0), s.basis)
+        coeffs = _random_matrix(rng, 1, s.dim).row(0)
+        member = vec_mat(coeffs, list(s.basis_rows())) if s.dim else vector([0] * n)
         shifted = member[:-1] + (member[-1] + Fraction(1, rng.randint(1, 3)),)
         for v in (vector([0] * n), _random_matrix(rng, 1, n).row(0), member, shifted):
-            stacked = Matrix(s.dim + 1, n, s.basis.entries + v)
+            stacked = M([*s.basis_rows(), v], cols=n)
             expected = _to_sympy(sympy, stacked).rank() == s.dim
             assert contains(s, v) == expected
             members += expected
@@ -248,7 +284,7 @@ def test_rank_nullity_property():
         rows = rng.randint(0, 6)
         cols = rng.randint(1, 6)
         m = _random_matrix(rng, rows, cols)
-        assert cols == rank(m) + kernel_basis(m).dim
+        assert cols == rank(m) + kernel(m).dim
 
 
 def test_rank_agrees_with_rref_pivot_count():
@@ -260,12 +296,14 @@ def test_rank_agrees_with_rref_pivot_count():
         assert rank(m) == len(_to_sympy(sympy, m).rref()[1]) == row_space(m).dim
 
 
-def test_rref_idempotent_property():
+def test_row_space_idempotent_property():
     rng = Lcg(102)
     for _ in range(30):
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        reduced = row_space(m).basis
-        assert row_space(reduced).basis == reduced
+        reduced = row_space(m)
+        again = row_space(M(list(reduced.basis_rows()), cols=m.cols))
+        assert again == reduced
+        assert list(again.basis_rows()) == list(reduced.basis_rows())
 
 
 def test_modular_law_property():
@@ -306,7 +344,7 @@ def test_subspace_equality_is_canonical():
     a = Subspace.from_vectors(3, [[2, 0, 0], [0, 0, 5]])
     b = Subspace.from_vectors(3, [[1, 0, "1/2"], [0, 0, 1]])
     assert a == b
-    assert a.basis == b.basis
+    assert a.rows == b.rows
 
 
 def test_unit_vector():

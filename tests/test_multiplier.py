@@ -221,13 +221,12 @@ def test_hplusa_m1_never_matches_m2_closed_form():
 
 
 def test_complex_not_exact_flags_invalid_table():
-    from liemult.liealg import _make
+    from fraction_reference import from_fractions
     from liemult.multiplier import ComplexNotExact
 
     # bypass validation to plant a Jacobi-violating table; the boundary
     # composition check must catch it
-    bad = _make(3, {(0, 1): vector([0, 0, 1]), (0, 2): vector([1, 0, 0])},
-                validate=False)
+    bad = from_fractions(3, {(0, 1): vector([0, 0, 1]), (0, 2): vector([1, 0, 0])})
     with pytest.raises(ComplexNotExact):
         schur_multiplier_dim.__wrapped__(bad)
 
