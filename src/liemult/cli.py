@@ -126,6 +126,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
+def _cap(text: str) -> int:
+    """A verify cap: a non-negative integer; argparse exits 2 on anything else."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liemult",
@@ -162,9 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog="flags each suite reads (it accepts and ignores the others):\n"
                               + flags)
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
-    p.add_argument("--max-m", type=int, default=verify.DEFAULT_MAX_M)
-    p.add_argument("--max-k", type=int, default=verify.DEFAULT_MAX_K)
-    p.add_argument("--max-n", type=int, default=verify.DEFAULT_MAX_N)
+    p.add_argument("--max-m", type=_cap, default=verify.DEFAULT_MAX_M)
+    p.add_argument("--max-k", type=_cap, default=verify.DEFAULT_MAX_K)
+    p.add_argument("--max-n", type=_cap, default=verify.DEFAULT_MAX_N)
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.set_defaults(func=_cmd_verify)
 

@@ -21,12 +21,17 @@ contribution into its sorted triple, so its cost grows with the nonzero
 structure constants.  The center is the kernel of the stacked adjoint,
 built as sparse integer rows; each term of the lower central series, and
 the test [L, S] ⊆ S, is echeloned by the exact fraction-free kernel of
-:mod:`liemult.linalg` that also computes ``linalg.rank``.  A quotient
+:mod:`liemult.linalg` that also computes ``linalg.rank``.  The series is
+walked once per algebra, by the cached ``_series``, whose echelons give
+both the dimensions and ``lcs_basis``, a basis adapted to the flag
+L ⊃ L^2 ⊃ ... on which [L^i, L^j] ⊆ L^(i+j); ``lcs_adapted`` writes L on
+it, and :mod:`liemult.multiplier` ranks the complex there.  A quotient
 L/K comes from one reduced echelon of K's integer rows on that kernel,
 pivoting on each vector's largest index; only the stored brackets are
 projected.  A base change transports only the stored brackets, in
 integers, and multiplies them by the inverse read from the reduced
-echelon of [Q | I].
+echelon of [Q | I]; ``lcs_adapted`` calls that integer transport
+directly.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .linalg import (
     AmbientMismatch,
     Matrix,
     Scalar,
+    SparseRow,
     Subspace,
     Vector,
     _back_substitute,
@@ -317,28 +323,85 @@ def _integer_brackets(ad: list, v: Iterable[tuple[int, int]]) -> list[dict[int, 
 
 
 @lru_cache(maxsize=None)
+def _series(L: LieAlgebra) -> tuple[tuple[dict[int, dict[int, int]], ...], bool]:
+    """Echelons of the distinct terms L^2, L^3, ..., and whether the series reached 0.
+
+    Each term is spanned by the [v, e_t] for v in the echelon of the
+    previous one, formed in integers from the stored brackets and
+    echeloned by the kernel.  The walk stops at the zero term, which is
+    then the last echelon, or when a term's echelon has the size of the
+    previous one: the series has stabilised above zero, and that
+    repeated term is left out.
+    """
+    ad = _adjoint(L.dim, L.brackets)
+    terms: list[dict[int, dict[int, int]]] = []
+    cur: list[dict[int, int]] = [{i: 1} for i in range(L.dim)]
+    while cur:
+        nxt = _echelon(w for v in cur for w in _integer_brackets(ad, v.items()))
+        if len(nxt) == len(cur):
+            return tuple(terms), False
+        terms.append(nxt)
+        cur = list(nxt.values())
+    return tuple(terms), True
+
+
+@lru_cache(maxsize=None)
 def lower_central_series(L: LieAlgebra) -> SeriesReport:
     """Dims of L >= [L,L] >= [L,[L,L]] >= ... until zero or stabilization.
 
-    Each term is spanned by the [v, e_t] for v in a spanning set of the
-    previous one, formed in integers from the stored brackets and reduced
-    by the echelon kernel; only dimensions are reported, so the echelon
-    is not reduced further.
+    The dims are the sizes of the echelons of ``_series``; a perfect
+    algebra (L^2 = L) stabilises at once and has derived dim n.
     """
-    n = L.dim
-    ad = _adjoint(n, L.brackets)
-    dims = [n]
-    cur: list[dict[int, int]] = [{i: 1} for i in range(n)]
-    derived_dim = 0
-    while cur:
-        nxt = list(_echelon(w for v in cur for w in _integer_brackets(ad, v.items())).values())
-        if len(dims) == 1:
-            derived_dim = len(nxt)
-        if len(nxt) == len(cur):
-            return SeriesReport(tuple(dims), None, derived_dim, center(L).dim)
-        dims.append(len(nxt))
-        cur = nxt
-    return SeriesReport(tuple(dims), len(dims) - 1, derived_dim, center(L).dim)
+    terms, nilpotent = _series(L)
+    return SeriesReport(
+        (L.dim, *(len(t) for t in terms)),
+        len(terms) if nilpotent else None,
+        len(terms[0]) if terms else L.dim,
+        center(L).dim,
+    )
+
+
+def lcs_basis(L: LieAlgebra) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
+    """A basis of L adapted to its lower central series, with each vector's weight.
+
+    A pivot set only grows from a term to the next larger one, so the
+    echelon vectors of L^k whose pivot is not a pivot of L^(k+1) complete
+    L^(k+1) to L^k; for L^1 = L they are the unit vectors e_c.  The
+    basis lists these complements from L/L^2 down to the last nonzero
+    term, whose whole echelon comes last; a vector from L^k has weight
+    k.  So the last dim L^k vectors span L^k, and [f_a, f_b] lies in the
+    term of weight w(a) + w(b) (or in the last term, where a
+    non-nilpotent series stabilises).
+    """
+    terms, _ = _series(L)
+    echelons = [{c: {c: 1} for c in range(L.dim)}, *terms]
+    basis: list[SparseRow] = []
+    weights: list[int] = []
+    for k, (term, below) in enumerate(zip(echelons, [*echelons[1:], {}]), start=1):
+        for p, v in sorted(term.items()):
+            if p not in below:
+                basis.append(tuple(sorted(v.items())))
+                weights.append(k)
+    return tuple(basis), tuple(weights)
+
+
+def lcs_adapted(L: LieAlgebra) -> LieAlgebra:
+    """L written on ``lcs_basis``, or L itself when each basis vector is a multiple of one e_c.
+
+    On the adapted basis [L^i, L^j] lies in L^(i+j), so most structure
+    constants are zero.  A basis of multiples of the e_c only reorders
+    and rescales e_1..e_n, which keeps the zero pattern of the structure
+    constants, so it is not transported; every catalog table and direct
+    sum is in that case.
+    """
+    basis, _ = lcs_basis(L)
+    if all(len(v) == 1 for v in basis):
+        return L
+    rows = [[0] * L.dim for _ in basis]
+    for row, v in zip(rows, basis):
+        for c, x in v:
+            row[c] = x
+    return _transport(L, rows)
 
 
 def is_ideal(L: LieAlgebra, s: Subspace) -> bool:
@@ -408,11 +471,8 @@ def change_of_basis(L: LieAlgebra, p: Matrix) -> LieAlgebra:
 
     P must be invertible (SingularMatrix otherwise).  All isomorphism
     invariants are preserved.  With P = Q/q for an integer matrix Q,
-    [f_i, f_j] = sum over the stored (a, b) of
-    (Q_ia Q_jb - Q_ib Q_ja) [e_a, e_b] / q^2, and the coordinates on the
-    f's are that times P^-1 = q Q^-1.  So each stored bracket is first
-    multiplied by Q^-1 = R/d, and every constant ends up over
-    q * d * denom.
+    [f_i, f_j] is [g_i, g_j] / q^2 on the integer basis g_i = q f_i, so
+    the constants on the f's are those on the g's over q.
     """
     n = L.dim
     if p.rows != n or p.cols != n:
@@ -420,7 +480,19 @@ def change_of_basis(L: LieAlgebra, p: Matrix) -> LieAlgebra:
             f"basis-change matrix must be {n}x{n}, got {p.rows}x{p.cols}"
         )
     q = lcm(*(x.denominator for x in p.entries))
-    rows = [[x.numerator * (q // x.denominator) for x in row] for row in p.iter_rows()]
+    return _transport(L, [[x.numerator * (q // x.denominator) for x in row]
+                          for row in p.iter_rows()], q)
+
+
+def _transport(L: LieAlgebra, rows: Sequence[Sequence[int]], q: int = 1) -> LieAlgebra:
+    """L on the basis g_i = sum_j Q[i][j] e_j of an invertible integer Q, constants over q.
+
+    [g_i, g_j] = sum over the stored (a, b) of
+    (Q_ia Q_jb - Q_ib Q_ja) [e_a, e_b], and the coordinates on the g's
+    are that times Q^-1 = R/d.  So each stored bracket is first
+    multiplied by R, and every constant ends up over q * d * denom.
+    """
+    n = L.dim
     d, inv = _inverse(rows)
     images = []
     for a, b, coeffs in L.brackets:

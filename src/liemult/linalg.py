@@ -33,7 +33,6 @@ SparseRow = tuple[tuple[int, int], ...]
 IntVector = Union[dict[int, int], SparseRow]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class AmbientMismatch(ValueError):
@@ -50,10 +49,6 @@ def rat(x: Scalar) -> Fraction:
 
 def vector(xs: Iterable[Scalar]) -> Vector:
     return tuple(rat(x) for x in xs)
-
-
-def unit_vector(n: int, i: int) -> Vector:
-    return tuple(_ONE if c == i else _ZERO for c in range(n))
 
 
 @dataclass(frozen=True)
@@ -147,17 +142,6 @@ class SparseMatrix:
     def __repr__(self) -> str:
         nnz = sum(len(col) for col in self.columns.values())
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={nnz}, denom={self.denom})"
-
-
-def _integer_rows(vectors: Iterable[Sequence[Scalar]], n: int) -> Iterator[dict[int, int]]:
-    """Nonzero length-n vectors as sparse integer vectors, each with its denominators cleared."""
-    for row in vectors:
-        if len(row) != n:
-            raise AmbientMismatch(f"vector length {len(row)} != ambient {n}")
-        nz = {c: y for c, x in enumerate(row) if (y := rat(x))}
-        if nz:
-            scale = lcm(*(x.denominator for x in nz.values()))
-            yield {c: x.numerator * (scale // x.denominator) for c, x in nz.items()}
 
 
 def _echelon(vectors: Iterable[IntVector]) -> dict[int, dict[int, int]]:
@@ -276,11 +260,9 @@ def _inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[dict[int, int]]]:
                for p, v in sorted(reduced.items())]
 
 
-def rank(m: Union[Matrix, SparseMatrix]) -> int:
-    """Exact rank of a dense or sparse matrix, by one fraction-free sparse elimination."""
-    if isinstance(m, SparseMatrix):
-        return len(_echelon(m.columns.values()))
-    return len(_echelon(_integer_rows(m.iter_rows(), m.cols)))
+def rank(m: SparseMatrix) -> int:
+    """Exact rank of a sparse matrix, by one fraction-free elimination of its columns."""
+    return len(_echelon(m.columns.values()))
 
 
 @dataclass(frozen=True)
@@ -302,10 +284,6 @@ class Subspace:
     def full(cls, n: int) -> "Subspace":
         return cls(n, tuple(((i, 1),) for i in range(n)))
 
-    @classmethod
-    def from_vectors(cls, n: int, vecs: Iterable[Sequence[Scalar]]) -> "Subspace":
-        return _span(n, _integer_rows(vecs, n))
-
     def basis_rows(self) -> Iterator[Vector]:
         """The reduced rows as dense Fraction vectors with unit pivots."""
         for row in self.rows:
@@ -314,11 +292,6 @@ class Subspace:
             for c, x in row:
                 out[c] = Fraction(x, piv)
             yield tuple(out)
-
-
-def row_space(m: Matrix) -> Subspace:
-    """Canonical subspace spanned by the rows of ``m``."""
-    return Subspace.from_vectors(m.cols, m.iter_rows())
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -340,8 +313,3 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     rows.extend(b.rows)
     return _span(n, [{c - n: x for c, x in v.items()}
                      for p, v in _echelon(rows).items() if p >= n])
-
-
-def contains(a: Subspace, v: Sequence[Scalar]) -> bool:
-    """Exact membership: v lies in A iff the echelon of A's rows plus v keeps size dim A."""
-    return len(_echelon([*a.rows, *_integer_rows([v], a.ambient_dim)])) == a.dim

@@ -16,7 +16,7 @@ from typing import Callable
 from . import catalog
 from .classifier import Status, classify, lemma_l1_gate
 from .liealg import LieAlgebra, center, direct_sum, lower_central_series
-from .linalg import Subspace, contains, unit_vector
+from .linalg import Subspace, _echelon, _span
 from .multiplier import (
     check_defect_bounds,
     check_kunneth,
@@ -201,15 +201,17 @@ def run_kunneth(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
 
 
 def _coordinate_central_subsets(L: LieAlgebra) -> list[tuple[tuple[int, ...], Subspace]]:
-    """All spans of subsets of central standard basis vectors."""
+    """All spans of subsets of central standard basis vectors.
+
+    e_i is central exactly when adding it to the center's rows keeps the
+    echelon's size.
+    """
     z = center(L)
-    coords = [i for i in range(L.dim)
-              if contains(z, unit_vector(L.dim, i))]
+    coords = [i for i in range(L.dim) if len(_echelon([*z.rows, {i: 1}])) == z.dim]
     subsets: list[tuple[tuple[int, ...], Subspace]] = []
     for mask in range(1 << len(coords)):
         picked = tuple(coords[b] for b in range(len(coords)) if mask >> b & 1)
-        vecs = [unit_vector(L.dim, i) for i in picked]
-        subsets.append((picked, Subspace.from_vectors(L.dim, vecs)))
+        subsets.append((picked, _span(L.dim, [{i: 1} for i in picked])))
     return subsets
 
 

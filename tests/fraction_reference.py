@@ -3,7 +3,11 @@
 The package computes on sparse integer brackets; these routines compute
 the same things the direct way, on ``LieAlgebra.table`` (the dense
 Fraction view) and dense Fraction vectors, so they share no code with
-what they check.
+what they check.  The dense-input adapters at the end (``integer_rows``,
+``from_vectors``, ``row_space``, ``dense_rank``, ``contains``) are the
+other way round: they clear the denominators of dense Fraction vectors
+and hand them to the package's echelon kernel, so tests can state
+subspaces and matrices densely.
 """
 
 from fractions import Fraction
@@ -11,9 +15,10 @@ from functools import lru_cache
 from math import lcm
 
 from liemult.liealg import _make
-from liemult.linalg import AmbientMismatch, SingularMatrix
+from liemult.linalg import AmbientMismatch, SingularMatrix, _echelon, _span, rat
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def from_fractions(n, mapping):
@@ -125,3 +130,38 @@ def change_of_basis_table(L, p):
             if any(w):
                 out.append((i, j, vec_mat(w, inv)))
     return tuple(out)
+
+
+def unit_vector(n, i):
+    return tuple(_ONE if c == i else _ZERO for c in range(n))
+
+
+def integer_rows(vectors, n):
+    """Nonzero length-n vectors as sparse integer vectors, each with its denominators cleared."""
+    for row in vectors:
+        if len(row) != n:
+            raise AmbientMismatch(f"vector length {len(row)} != ambient {n}")
+        nz = {c: y for c, x in enumerate(row) if (y := rat(x))}
+        if nz:
+            scale = lcm(*(x.denominator for x in nz.values()))
+            yield {c: x.numerator * (scale // x.denominator) for c, x in nz.items()}
+
+
+def from_vectors(n, vecs):
+    """Canonical subspace of Q^n spanned by dense vectors."""
+    return _span(n, integer_rows(vecs, n))
+
+
+def row_space(m):
+    """Canonical subspace spanned by the rows of a dense ``Matrix``."""
+    return from_vectors(m.cols, m.iter_rows())
+
+
+def dense_rank(m):
+    """Exact rank of a dense ``Matrix`` on the package's echelon kernel."""
+    return len(_echelon(integer_rows(m.iter_rows(), m.cols)))
+
+
+def contains(a, v):
+    """Exact membership: v lies in A iff the echelon of A's rows plus v keeps size dim A."""
+    return len(_echelon([*a.rows, *integer_rows([v], a.ambient_dim)])) == a.dim

@@ -1,0 +1,181 @@
+"""The basis adapted to the lower central series, against sympy and dense Fraction references.
+
+``schur_multiplier_dim`` ranks the complex on ``lcs_adapted(L)``; these
+tests check that the adapted table has the same ranks of d2 and d3 as
+the original (sympy over QQ, on boundaries built here from the dense
+table), that the basis is adapted, and that catalog tables skip the
+transport.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from liemult import liealg
+from liemult.catalog import heisenberg, heisenberg_plus_abelian, standard_entries
+from liemult.liealg import (
+    build,
+    change_of_basis,
+    direct_sum,
+    lcs_adapted,
+    lcs_basis,
+    lower_central_series,
+)
+from liemult.linalg import Matrix
+from liemult.multiplier import schur_multiplier_dim
+from liemult.randgen import Lcg, random_unimodular
+
+from fraction_reference import bracket, brackets_with_basis, change_of_basis_table
+
+
+def _filiform(n):
+    return build(n, [(1, i, {i + 1: 1}) for i in range(2, n)])
+
+
+NON_NILPOTENT = {
+    "sl2": build(3, [(1, 2, {3: 1}), (1, 3, {1: -2}), (2, 3, {2: 2})]),
+    "so3": build(3, [(1, 2, {3: 1}), (1, 3, {2: -1}), (2, 3, {1: 1})]),
+    "affine2": build(2, [(1, 2, {2: 1})]),
+}
+
+
+def _originals():
+    cases = [(e.label, e.algebra) for e in standard_entries(4, 3)]
+    cases += [(f"filiform({n})", _filiform(n)) for n in range(6, 11)]
+    return cases + sorted(NON_NILPOTENT.items())
+
+
+def _moved():
+    """An integral and a rational base change of every original of positive dimension."""
+    cases = []
+    for seed, (label, alg) in enumerate(_originals(), 700):
+        n = alg.dim
+        if n == 0:
+            continue
+        rng = Lcg(seed)
+        u = random_unimodular(n, rng)
+        scale = [Fraction(rng.randint(1, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+        p = Matrix.from_rows([[s * x for x in row] for s, row in zip(scale, u.iter_rows())])
+        cases += [pytest.param(change_of_basis(alg, u), id=f"{label}@unimodular"),
+                  pytest.param(change_of_basis(alg, p), id=f"{label}@rational")]
+    return cases
+
+
+def _qq(sympy, rows, width):
+    from sympy.polys.matrices import DomainMatrix
+
+    entries = {r: {c: sympy.QQ(x.numerator, x.denominator) for c, x in enumerate(row) if x}
+               for r, row in enumerate(rows)}
+    return DomainMatrix({r: v for r, v in entries.items() if v}, (len(rows), width), sympy.QQ)
+
+
+def _qq_rank(sympy, rows, width):
+    return _qq(sympy, rows, width).rank()
+
+
+def _boundary_ranks(sympy, alg):
+    """Ranks of d2 and d3 from the dense table, by sympy over QQ, as dense rows."""
+    n = alg.dim
+    pairs = list(combinations(range(n), 2))
+    row_of = {p: r for r, p in enumerate(pairs)}
+    table = {(i, j): c for i, j, c in alg.table}
+    d2 = [table.get(p, (Fraction(0),) * n) for p in pairs]  # rows of d2 transposed
+    d3 = []
+    for i, j, k in combinations(range(n), 3):
+        col = [Fraction(0)] * len(pairs)
+        for (a, b), t, sign in (((i, j), k, 1), ((i, k), j, -1), ((j, k), i, 1)):
+            for m, x in enumerate(table.get((a, b), ())):
+                if x and m != t:
+                    col[row_of[(min(m, t), max(m, t))]] += sign * x * (1 if m < t else -1)
+        d3.append(col)
+    return _qq_rank(sympy, d2, n), _qq_rank(sympy, d3, len(pairs))
+
+
+def _dense(n, v):
+    v = dict(v)
+    return tuple(Fraction(v.get(c, 0)) for c in range(n))
+
+
+def _reference_terms(sympy, alg):
+    """Bases of L^1, L^2, ... down to 0 or the stable term, as sympy's reduced Fraction rows."""
+    n = alg.dim
+    terms = [[_dense(n, [(k, 1)]) for k in range(n)]]
+    while True:
+        reduced, pivots = _qq(sympy, [w for v in terms[-1] for w in brackets_with_basis(alg, v)],
+                              n).rref()
+        if len(pivots) == len(terms[-1]):
+            return terms
+        terms.append([tuple(Fraction(int(x.numerator), int(x.denominator)) for x in row)
+                      for row in reduced.to_Matrix().tolist()[:len(pivots)]])
+
+
+@pytest.mark.parametrize("alg", _moved())
+def test_adapted_table_matches_sympy_ranks_and_flag(alg):
+    sympy = pytest.importorskip("sympy")
+    n = alg.dim
+    basis, weights = lcs_basis(alg)
+    rows = [_dense(n, v) for v in basis]
+    assert _qq_rank(sympy, rows, n) == n
+    assert list(weights) == sorted(weights)
+
+    adapted = lcs_adapted(alg)
+    if adapted is not alg:
+        # the integer transport is the Fraction base change onto the basis rows
+        assert adapted.table == change_of_basis_table(alg, Matrix.from_rows(rows))
+    assert _boundary_ranks(sympy, adapted) == _boundary_ranks(sympy, alg)
+
+    # the last dim L^k rows span exactly L^k
+    terms = _reference_terms(sympy, alg)
+    for k, term in enumerate(terms, 1):
+        dim = len(term)
+        tail = rows[n - dim:]
+        assert dim == sum(w >= k for w in weights)
+        assert _qq_rank(sympy, tail + term, n) == dim
+
+    # every [f_a, f_b] lies in the term of weight w(a) + w(b); the
+    # reference ends with the zero term, or with the term where a
+    # non-nilpotent series stabilises
+    for a, b in combinations(range(n), 2):
+        term = terms[min(weights[a] + weights[b], len(terms)) - 1]
+        w = bracket(alg, rows[a], rows[b])
+        assert _qq_rank(sympy, term + [w], n) == len(term)
+
+
+def test_perfect_algebra_series_stops_at_once():
+    for alg in (NON_NILPOTENT["sl2"], NON_NILPOTENT["so3"]):
+        rep = lower_central_series(alg)
+        assert (rep.lcs_dims, rep.nilpotency_class, rep.derived_dim) == ((3,), None, 3)
+        assert lcs_basis(alg)[1] == (1, 1, 1)
+    rep = lower_central_series(NON_NILPOTENT["affine2"])
+    assert (rep.lcs_dims, rep.nilpotency_class, rep.derived_dim) == ((2, 1), None, 1)
+
+
+def _catalog_tables():
+    entries = [e.algebra for e in standard_entries(4, 3)]
+    tables = entries + [direct_sum(a, b) for a, b in combinations(entries, 2)]
+    # the sparse benchmark ladder: H(m), model filiform and H(1) + A(k)
+    tables += [heisenberg(m).algebra for m in range(2, 13)]
+    tables += [_filiform(n) for n in range(8, 21)]
+    tables += [heisenberg_plus_abelian(1, k).algebra for k in (10, 20, 30)]
+    return tables
+
+
+def test_catalog_tables_skip_the_transport(monkeypatch):
+    moved = change_of_basis(_filiform(6), random_unimodular(6, Lcg(5)))
+    calls = []
+    transport = liealg._transport
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return transport(*args, **kw)
+
+    monkeypatch.setattr(liealg, "_transport", counted)
+    for alg in _catalog_tables():
+        assert lcs_adapted(alg) is alg
+        schur_multiplier_dim.__wrapped__(alg)
+    assert calls == []
+
+    # a base change that mixes the flag is transported, once
+    schur_multiplier_dim.__wrapped__(moved)
+    assert calls == [moved]

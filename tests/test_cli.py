@@ -182,6 +182,24 @@ def test_verify_reports_are_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("flag,value", [("--max-m", "-1"), ("--max-k", "-3"), ("--max-n", "-2")])
+def test_verify_rejects_negative_cap(capsys, flag, value):
+    # argparse refuses the value and exits 2, as for any other bad flag
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "formulas", flag, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: must be non-negative, got {value}" in captured.err
+
+
+def test_verify_cap_must_be_an_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "formulas", "--max-m", "two"])
+    assert exc.value.code == 2
+    assert "argument --max-m: invalid int value: 'two'" in capsys.readouterr().err
+
+
 NON_NILPOTENT = {
     "sl2": "dim 3\n[e1,e2] = e3\n[e1,e3] = -2 e1\n[e2,e3] = 2 e2\n",
     "so3": "dim 3\n[e1,e2] = e3\n[e1,e3] = -e2\n[e2,e3] = e1\n",

