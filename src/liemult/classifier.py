@@ -86,16 +86,6 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
     )
 
 
-# Pin sets of the three s = 2 families; any two differ in derived_dim or n,
-# so a fingerprint matches at most one.
-S2_FAMILY_PINS: tuple[tuple[str, dict[str, int]], ...] = (
-    (FAMILY_L3414, {"n": 4, "derived_dim": 2, "nilpotency_class": 3}),
-    (FAMILY_L4524_PLUS_A1,
-     {"n": 6, "derived_dim": 2, "center_dim": 3, "nilpotency_class": 2}),
-    (FAMILY_H_PLUS_A, {"derived_dim": 1}),
-)
-
-
 def classify(L: LieAlgebra) -> ClassificationResult:
     """Name the catalog family of a nilpotent non-abelian algebra by s.
 

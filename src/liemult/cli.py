@@ -137,6 +137,14 @@ def _cap(text: str) -> int:
     return value
 
 
+def _max_n(text: str) -> int:
+    """The classification cap: its s0-series starts at n = 3, so a smaller cap runs no case."""
+    value = _cap(text)
+    if value < 3:
+        raise argparse.ArgumentTypeError(f"must be at least 3, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liemult",
@@ -175,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     p.add_argument("--max-m", type=_cap, default=verify.DEFAULT_MAX_M)
     p.add_argument("--max-k", type=_cap, default=verify.DEFAULT_MAX_K)
-    p.add_argument("--max-n", type=_cap, default=verify.DEFAULT_MAX_N)
+    p.add_argument("--max-n", type=_max_n, default=verify.DEFAULT_MAX_N)
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.set_defaults(func=_cmd_verify)
 

@@ -9,10 +9,10 @@ equality and the hash read it directly, and antisymmetry is structural.
 want them; nothing here computes with it.  Every constructor (``build``,
 ``direct_sum``, ``quotient``, ``change_of_basis``) ends in ``_make``,
 which reduces numerators and denominator by their common gcd and sorts
-the brackets.  The Jacobi identity is verified exactly whenever an
-algebra is built from outside input; algebras derived from valid ones
-(direct sums, quotients by ideals, base changes) are valid by
-construction and skip the re-check.
+the brackets.  ``first_jacobi_violation`` is the one Jacobi test:
+``build``, the one constructor fed outside input, runs it; algebras
+derived from valid ones (sums, quotients by ideals, base changes) are
+valid by construction, and the multiplier re-checks only ``lcs_adapted(L)``.
 
 The Jacobi check, the center, the lower central series, the ideal test
 and the boundary maps of :mod:`liemult.multiplier` all read the stored
@@ -36,7 +36,7 @@ directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -109,14 +109,12 @@ class LieAlgebra:
     by (i, j), nonzero brackets only: a / denom is the coefficient of
     e_m in [e_i, e_j].  ``denom`` is the least common denominator of the
     constants (1 when there are none), which fixes the numerators.
-    ``labels`` is an optional list of basis names and affects neither
-    equality nor the hash, which is computed once per instance.
+    The hash is computed once per instance.
     """
 
     dim: int
     denom: int
     brackets: Brackets
-    labels: Optional[tuple[str, ...]] = field(default=None, compare=False)
 
     @cached_property
     def _hash(self) -> int:
@@ -150,8 +148,6 @@ def _make(
     dim: int,
     denom: int,
     mapping: Mapping[tuple[int, int], Iterable[tuple[int, int]]],
-    labels: Optional[Sequence[str]] = None,
-    validate: bool = True,
 ) -> LieAlgebra:
     """The canonical algebra whose [e_i, e_j] has coefficients a / denom at the given (m, a)."""
     items = []
@@ -162,20 +158,12 @@ def _make(
     g = gcd(denom, *(a for _, _, coeffs in items for _, a in coeffs))
     if g != 1:
         items = [(i, j, tuple((m, a // g) for m, a in coeffs)) for i, j, coeffs in items]
-    alg = LieAlgebra(dim, denom // g, tuple(items),
-                     tuple(labels) if labels is not None else None)
-    if validate:
-        bad = first_jacobi_violation(alg)
-        if bad is not None:
-            (i, j, k), defect = bad
-            raise JacobiViolation((i + 1, j + 1, k + 1), defect)
-    return alg
+    return LieAlgebra(dim, denom // g, tuple(items))
 
 
 def build(
     dim: int,
     brackets: Iterable[tuple[int, int, Union[Sequence[Scalar], Mapping[int, Scalar]]]],
-    labels: Optional[Sequence[str]] = None,
 ) -> LieAlgebra:
     """Validated Lie algebra from 1-based bracket data.
 
@@ -213,13 +201,16 @@ def build(
         if key in mapping:
             raise DuplicateBracket(f"bracket [e{i},e{j}] given twice")
         mapping[key] = sparse
-    if labels is not None and len(tuple(labels)) != dim:
-        raise IndexOutOfRange("labels length must equal dim")
     denom = lcm(*(x.denominator for c in mapping.values() for x in c.values()))
-    return _make(dim, denom, {
+    alg = _make(dim, denom, {
         key: [(m, x.numerator * (denom // x.denominator)) for m, x in c.items()]
         for key, c in mapping.items()
-    }, labels, validate=True)
+    })
+    bad = first_jacobi_violation(alg)
+    if bad is not None:
+        (i, j, k), defect = bad
+        raise JacobiViolation((i + 1, j + 1, k + 1), defect)
+    return alg
 
 
 def _adjoint(n: int, brackets: Brackets) -> list[dict[int, Coefficients]]:
@@ -449,7 +440,7 @@ def quotient(L: LieAlgebra, k: Subspace) -> LieAlgebra:
                 for a, y in image[m]:
                     acc[a] = acc.get(a, 0) + x * y
             mapping[(pos[i], pos[j])] = acc.items()
-    return _make(len(pos), L.denom * d, mapping, validate=False)
+    return _make(len(pos), L.denom * d, mapping)
 
 
 def direct_sum(l1: LieAlgebra, l2: LieAlgebra) -> LieAlgebra:
@@ -460,10 +451,7 @@ def direct_sum(l1: LieAlgebra, l2: LieAlgebra) -> LieAlgebra:
     mapping = {(i, j): [(m, f1 * a) for m, a in coeffs] for i, j, coeffs in l1.brackets}
     mapping.update(((i + d1, j + d1), [(m + d1, f2 * a) for m, a in coeffs])
                    for i, j, coeffs in l2.brackets)
-    labels = None
-    if l1.labels is not None and l2.labels is not None:
-        labels = l1.labels + l2.labels
-    return _make(d1 + l2.dim, denom, mapping, labels, validate=False)
+    return _make(d1 + l2.dim, denom, mapping)
 
 
 def change_of_basis(L: LieAlgebra, p: Matrix) -> LieAlgebra:
@@ -514,4 +502,4 @@ def _transport(L: LieAlgebra, rows: Sequence[Sequence[int]], q: int = 1) -> LieA
                         acc[t] = acc.get(t, 0) + s * y
             if acc:
                 mapping[(i, j)] = acc.items()
-    return _make(n, q * d * L.denom, mapping, validate=False)
+    return _make(n, q * d * L.denom, mapping)

@@ -15,9 +15,9 @@ a primitive integer vector (content 1) whose first entry, the pivot, is
 positive; pivots strictly increase from row to row and every row is
 zero at the other rows' pivots.  Scaling the reduced row echelon form's
 rows to primitive integers is unique, so two ``Subspace`` values compare
-equal exactly when they describe the same subspace.  ``basis_rows``
-derives the Fraction rows (unit pivots) on demand.  ``Matrix`` is the
-dense rational input of a base change.
+equal exactly when they describe the same subspace.  ``Matrix`` is the
+dense rational input of a base change, and ``SparseMatrix`` holds the
+boundary maps of :mod:`liemult.multiplier`.
 """
 
 from __future__ import annotations
@@ -117,10 +117,6 @@ class SparseMatrix:
             nz = {r: x for r, x in col.items() if x}
             if nz:
                 self.columns[c] = nz
-
-    def at(self, r: int, c: int) -> Fraction:
-        col = self.columns.get(c)
-        return Fraction(col.get(r, 0) if col else 0, self.denom)
 
     def iter_rows(self) -> Iterator[Vector]:
         """Dense rows of Fractions, as ``Matrix.iter_rows`` yields them."""
@@ -283,15 +279,6 @@ class Subspace:
     @classmethod
     def full(cls, n: int) -> "Subspace":
         return cls(n, tuple(((i, 1),) for i in range(n)))
-
-    def basis_rows(self) -> Iterator[Vector]:
-        """The reduced rows as dense Fraction vectors with unit pivots."""
-        for row in self.rows:
-            out = [_ZERO] * self.ambient_dim
-            piv = row[0][1]
-            for c, x in row:
-                out[c] = Fraction(x, piv)
-            yield tuple(out)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

@@ -7,7 +7,8 @@ what they check.  The dense-input adapters at the end (``integer_rows``,
 ``from_vectors``, ``row_space``, ``dense_rank``, ``contains``) are the
 other way round: they clear the denominators of dense Fraction vectors
 and hand them to the package's echelon kernel, so tests can state
-subspaces and matrices densely.
+subspaces and matrices densely; ``basis_rows`` and ``at`` read a
+``Subspace`` and a ``SparseMatrix`` back as Fractions.
 """
 
 from fractions import Fraction
@@ -27,7 +28,7 @@ def from_fractions(n, mapping):
               for key, c in mapping.items()}
     denom = lcm(*(x.denominator for c in coeffs.values() for _, x in c))
     return _make(n, denom, {key: [(m, x.numerator * (denom // x.denominator)) for m, x in c]
-                            for key, c in coeffs.items()}, validate=False)
+                            for key, c in coeffs.items()})
 
 
 @lru_cache(maxsize=256)
@@ -160,6 +161,21 @@ def row_space(m):
 def dense_rank(m):
     """Exact rank of a dense ``Matrix`` on the package's echelon kernel."""
     return len(_echelon(integer_rows(m.iter_rows(), m.cols)))
+
+
+def basis_rows(s):
+    """The reduced rows of a ``Subspace`` as dense Fraction vectors with unit pivots."""
+    for row in s.rows:
+        out = [_ZERO] * s.ambient_dim
+        piv = row[0][1]
+        for c, x in row:
+            out[c] = Fraction(x, piv)
+        yield tuple(out)
+
+
+def at(m, r, c):
+    """Entry (r, c) of a ``SparseMatrix`` as a Fraction."""
+    return Fraction(m.columns.get(c, {}).get(r, 0), m.denom)
 
 
 def contains(a, v):

@@ -17,7 +17,6 @@ from liemult.catalog import (
 )
 from liemult.classifier import (
     AbelianAlgebra,
-    S2_FAMILY_PINS,
     Status,
     classify,
     fingerprint,
@@ -107,18 +106,6 @@ def test_classify_invariant_under_basis_change():
             assert res.status is Status.CLASSIFIED
             assert res.family == family
             assert res.params == params
-
-
-def test_s2_pin_table_is_pairwise_disjoint():
-    # any two pin sets disagree on a shared key, so no fingerprint can
-    # satisfy both
-    for i in range(len(S2_FAMILY_PINS)):
-        for j in range(i + 1, len(S2_FAMILY_PINS)):
-            pins_a = S2_FAMILY_PINS[i][1]
-            pins_b = S2_FAMILY_PINS[j][1]
-            shared = set(pins_a) & set(pins_b)
-            assert any(pins_a[key] != pins_b[key] for key in shared), (
-                S2_FAMILY_PINS[i][0], S2_FAMILY_PINS[j][0])
 
 
 def test_lemma_l1_gate_on_catalog():

@@ -193,6 +193,18 @@ def test_verify_rejects_negative_cap(capsys, flag, value):
     assert f"argument {flag}: must be non-negative, got {value}" in captured.err
 
 
+@pytest.mark.parametrize("value", ["0", "1", "2"])
+def test_verify_rejects_max_n_below_three(capsys, value):
+    # the classification's s0-series starts at n = 3: a smaller cap would
+    # run none of its cases and still report a pass
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "classification", "--max-n", value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"error: argument --max-n: must be at least 3, got {value}" in captured.err
+
+
 def test_verify_cap_must_be_an_integer(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "formulas", "--max-m", "two"])

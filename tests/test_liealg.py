@@ -37,6 +37,7 @@ from liemult.randgen import (
 )
 
 from fraction_reference import (
+    basis_rows,
     bracket,
     bracket_basis,
     brackets_with_basis,
@@ -137,7 +138,7 @@ def test_center_brackets_vanish():
     for alg in (heisenberg(2).algebra, l_3_4_1_4().algebra,
                 l_4_5_2_4().algebra, l4524_plus_a1().algebra):
         z = center(alg)
-        for row in z.basis_rows():
+        for row in basis_rows(z):
             for j in range(alg.dim):
                 ej = vector(e(alg.dim, j + 1))
                 assert not any(bracket(alg, row, ej))
@@ -417,7 +418,7 @@ def test_center_matches_sympy_nullspace():
         if nullspace:
             reduced, pivots = sympy.Matrix.hstack(*nullspace).T.rref()
             expected = _from_sympy(reduced.row(r) for r in range(len(pivots)))
-        assert list(center(alg).basis_rows()) == expected
+        assert list(basis_rows(center(alg))) == expected
 
 
 def test_is_ideal_matches_bracket_membership():
@@ -433,7 +434,7 @@ def test_is_ideal_matches_bracket_membership():
                 # every subspace containing [L, L] is an ideal
                 s = subspace_sum(s, derived_subalgebra(alg))
             # [L, S] lies in S iff stacking every [s, e_j] under S keeps sympy's rank at dim S
-            rows = list(s.basis_rows())
+            rows = list(basis_rows(s))
             brackets = [bracket(alg, row, tuple(Fraction(x) for x in e(n, j)))
                         for row in rows for j in range(1, n + 1)]
             expected = _sympy_rows(sympy, rows + brackets).rank() == s.dim
@@ -452,7 +453,7 @@ def _reference_quotient(sympy, alg, k):
     """
     n, r = alg.dim, k.dim
     units = [tuple(Fraction(x) for x in e(n, i)) for i in range(1, n + 1)]
-    rows = list(k.basis_rows())
+    rows = list(basis_rows(k))
     chosen = []
     for i in range(n):
         cand = rows + [units[c] for c in chosen] + [units[i]]
@@ -492,7 +493,7 @@ def test_quotient_matches_greedy_sympy_reference():
 def _reference_central_subspace(alg, rng, min_dim):
     """Random integer combinations of the center's unit-pivot Fraction rows."""
     n = alg.dim
-    z = list(center(alg).basis_rows())
+    z = list(basis_rows(center(alg)))
     if not z or min_dim > len(z):
         return Subspace.zero(n)
     vecs = []
@@ -514,10 +515,10 @@ def test_random_central_subspace_matches_fraction_reference():
             assert got == _reference_central_subspace(alg, Lcg(seed), min_dim)
 
 
-def test_hash_ignores_labels_and_survives_rebuild():
+def test_hash_survives_rebuild():
     h1 = heisenberg(1).algebra
-    named = build(3, [(1, 2, e(3, 3))], labels=["x", "y", "z"])
-    assert named == h1 and hash(named) == hash(h1)
+    again = build(3, [(1, 2, e(3, 3))])
+    assert again == h1 and hash(again) == hash(h1)
     moved = change_of_basis(l_4_5_2_4().algebra, random_unimodular(5, Lcg(46)))
     rebuilt = build(moved.dim, [(i + 1, j + 1, c) for i, j, c in moved.table])
     assert rebuilt is not moved

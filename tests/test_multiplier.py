@@ -13,7 +13,7 @@ from liemult.catalog import (
     l_3_4_1_4,
     l_4_5_2_4,
 )
-from liemult.liealg import NotNilpotent, build, center, change_of_basis
+from liemult.liealg import NotNilpotent, build, center, change_of_basis, lcs_adapted
 from liemult.linalg import Matrix, Subspace, rank, vector
 from liemult.multiplier import (
     NotCentral,
@@ -27,7 +27,7 @@ from liemult.multiplier import (
 )
 from liemult.randgen import Lcg, random_change_of_basis, random_unimodular
 
-from fraction_reference import from_vectors
+from fraction_reference import at, from_vectors
 
 
 def _is_zero(m):
@@ -36,7 +36,7 @@ def _is_zero(m):
 
 def _compose(d2, d3):
     """d2 . d3 entry by entry through the read interface, as a list of rows."""
-    return [[sum(d2.at(t, p) * d3.at(p, c) for p in range(d3.rows))
+    return [[sum(at(d2, t, p) * at(d3, p, c) for p in range(d3.rows))
              for c in range(d3.cols)] for t in range(d2.rows)]
 
 
@@ -72,11 +72,11 @@ def test_d3_l3414_image():
     d3 = ce_d3(l_3_4_1_4().algebra)
     assert rank(d3) == 2
     # lex pair order on 4 points: 01,02,03,12,13,23 -> e2^e4 is row 4
-    col0 = [d3.at(r, 0) for r in range(6)]
+    col0 = [at(d3, r, 0) for r in range(6)]
     assert col0 == [0, 0, 0, 0, 1, 0]
-    col1 = [d3.at(r, 1) for r in range(6)]
+    col1 = [at(d3, r, 1) for r in range(6)]
     assert col1 == [0, 0, 0, 0, 0, 1]
-    assert all(d3.at(r, c) == 0 for r in range(6) for c in (2, 3))
+    assert all(at(d3, r, c) == 0 for r in range(6) for c in (2, 3))
 
 
 def test_schur_dim_heisenberg_values():
@@ -181,6 +181,8 @@ def test_complex_is_exact_on_samples():
     algebras = [heisenberg(2).algebra, l_3_4_1_4().algebra,
                 l4524_plus_a1().algebra]
     algebras += [random_change_of_basis(a, rng) for a in algebras]
+    # the complex is ranked on the adapted tables, which the transport writes
+    algebras += [lcs_adapted(a) for a in algebras]
     for alg in algebras:
         d2, d3 = ce_d2(alg), ce_d3(alg)
         assert d2.cols == d3.rows
@@ -231,6 +233,19 @@ def test_complex_not_exact_flags_invalid_table():
     bad = from_fractions(3, {(0, 1): vector([0, 0, 1]), (0, 2): vector([1, 0, 0])})
     with pytest.raises(ComplexNotExact):
         schur_multiplier_dim.__wrapped__(bad)
+
+
+def test_complex_not_exact_flags_invalid_transported_table():
+    from fraction_reference import from_fractions
+    from liemult.multiplier import ComplexNotExact
+
+    # change_of_basis does not validate, so the planted defect survives the
+    # base change, and the guard runs on a table that lcs_adapted transports
+    bad = from_fractions(3, {(0, 1): vector([0, 0, 1]), (0, 2): vector([1, 0, 0])})
+    moved = change_of_basis(bad, random_unimodular(3, Lcg(23)))
+    assert lcs_adapted(moved) is not moved
+    with pytest.raises(ComplexNotExact):
+        schur_multiplier_dim.__wrapped__(moved)
 
 
 def test_schur_dim_closed_forms_at_scale():
@@ -296,7 +311,7 @@ def test_boundaries_match_sympy_oracle(alg):
     ours2, ours3 = ce_d2(alg), ce_d3(alg)
     for ours, oracle in ((ours2, d2), (ours3, d3)):
         assert (ours.rows, ours.cols) == oracle.shape
-        assert all(ours.at(r, c) == oracle[r, c]
+        assert all(at(ours, r, c) == oracle[r, c]
                    for r in range(ours.rows) for c in range(ours.cols))
     assert rank(ours2) == d2.rank()
     assert rank(ours3) == d3.rank()

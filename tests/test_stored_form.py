@@ -16,7 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from liemult.catalog import standard_entries
-from liemult.liealg import build, change_of_basis
+from liemult.liealg import change_of_basis
 from liemult.lieconst import parse, render
 from liemult.linalg import Matrix
 from liemult.randgen import Lcg, random_unimodular
@@ -85,16 +85,6 @@ def test_same_constants_written_differently_are_equal(case):
     assert again == alg
     assert hash(again) == hash(alg)
     assert (again.denom, again.brackets) == (alg.denom, alg.brackets)
-
-
-@PROFILE
-@given(algebras())
-def test_labels_stay_out_of_equality_and_hash(alg):
-    named = build(alg.dim, [(i + 1, j + 1, c) for i, j, c in alg.table],
-                  labels=[f"x{k}" for k in range(alg.dim)])
-    assert named.labels is not None and alg.labels is None
-    assert named == alg
-    assert hash(named) == hash(alg)
 
 
 def test_half_and_two_quarters_are_one_algebra():
