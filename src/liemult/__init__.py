@@ -1,7 +1,7 @@
 """Exact-arithmetic invariants of finite-dimensional Lie algebras.
 
 Structure-constant tables over the rationals with exact computation of
-derived subalgebra, center, lower central series, Schur multiplier
+the derived dimension, center, lower central series, Schur multiplier
 dimension (second homology of the exterior chain complex), the defect
 invariants t and s, and classification of nilpotent algebras with
 s in {0, 1, 2} into their catalog families.

@@ -13,7 +13,8 @@ cross-checked against an independent formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from inspect import signature
+from typing import Callable, Optional
 
 from .liealg import LieAlgebra, build, direct_sum
 
@@ -23,15 +24,6 @@ FAMILY_L3414 = "L3414"
 FAMILY_L4524 = "L4524"
 FAMILY_H_PLUS_A = "HplusA"
 FAMILY_L4524_PLUS_A1 = "L4524plusA1"
-
-FAMILIES = (
-    FAMILY_ABELIAN,
-    FAMILY_HEISENBERG,
-    FAMILY_L3414,
-    FAMILY_L4524,
-    FAMILY_H_PLUS_A,
-    FAMILY_L4524_PLUS_A1,
-)
 
 
 @dataclass(frozen=True)
@@ -122,30 +114,29 @@ def l4524_plus_a1() -> CatalogEntry:
     return CatalogEntry(FAMILY_L4524_PLUS_A1, (), alg, 9, 2)
 
 
+# family identifier -> constructor, whose parameters are the family's
+_CONSTRUCTORS: dict[str, Callable[..., CatalogEntry]] = {
+    FAMILY_ABELIAN: abelian,
+    FAMILY_HEISENBERG: heisenberg,
+    FAMILY_L3414: l_3_4_1_4,
+    FAMILY_L4524: l_4_5_2_4,
+    FAMILY_H_PLUS_A: heisenberg_plus_abelian,
+    FAMILY_L4524_PLUS_A1: l4524_plus_a1,
+}
+
+FAMILIES = tuple(_CONSTRUCTORS)
+
+
 def entry(family: str, params: tuple[int, ...] = ()) -> CatalogEntry:
     """Dispatch a family identifier plus parameters to its constructor."""
-    if family == FAMILY_ABELIAN:
-        (k,) = params
-        return abelian(k)
-    if family == FAMILY_HEISENBERG:
-        (m,) = params
-        return heisenberg(m)
-    if family == FAMILY_L3414:
-        if params:
-            raise ValueError("L3414 takes no parameters")
-        return l_3_4_1_4()
-    if family == FAMILY_L4524:
-        if params:
-            raise ValueError("L4524 takes no parameters")
-        return l_4_5_2_4()
-    if family == FAMILY_H_PLUS_A:
-        m, k = params
-        return heisenberg_plus_abelian(m, k)
-    if family == FAMILY_L4524_PLUS_A1:
-        if params:
-            raise ValueError("L4524plusA1 takes no parameters")
-        return l4524_plus_a1()
-    raise ValueError(f"unknown catalog family {family!r}")
+    make = _CONSTRUCTORS.get(family)
+    if make is None:
+        raise ValueError(f"unknown catalog family {family!r}")
+    arity = len(signature(make).parameters)
+    if len(params) != arity:
+        noun = "parameter" if arity == 1 else "parameters"
+        raise ValueError(f"{family} takes {arity} {noun}, got {len(params)}")
+    return make(*params)
 
 
 def standard_entries(max_m: int, max_k: int) -> list[CatalogEntry]:

@@ -23,15 +23,15 @@ built as sparse integer rows; each term of the lower central series, and
 the test [L, S] ⊆ S, is echeloned by the exact fraction-free kernel of
 :mod:`liemult.linalg` that also computes ``linalg.rank``.  The series is
 walked once per algebra, by the cached ``_series``, whose echelons give
-both the dimensions and ``lcs_basis``, a basis adapted to the flag
-L ⊃ L^2 ⊃ ... on which [L^i, L^j] ⊆ L^(i+j); ``lcs_adapted`` writes L on
-it, and :mod:`liemult.multiplier` ranks the complex there.  A quotient
-L/K comes from one reduced echelon of K's integer rows on that kernel,
-pivoting on each vector's largest index; only the stored brackets are
-projected.  A base change transports only the stored brackets, in
-integers, and multiplies them by the inverse read from the reduced
-echelon of [Q | I]; ``lcs_adapted`` calls that integer transport
-directly.
+both the dimensions, dim L^2 among them, and ``lcs_basis``, a basis
+adapted to the flag L ⊃ L^2 ⊃ ... on which [L^i, L^j] ⊆ L^(i+j);
+``lcs_adapted`` writes L on it, and :mod:`liemult.multiplier` ranks the
+complex there.  A quotient L/K comes from one reduced echelon of K's
+integer rows on that kernel, pivoting on each vector's largest index;
+only the stored brackets are projected.  A base change transports only
+the stored brackets, in integers, and multiplies them by the inverse
+read from the reduced echelon of [Q | I]; ``lcs_adapted`` calls that
+integer transport directly.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .linalg import (
     _echelon,
     _inverse,
     _kernel,
-    _span,
     rat,
     vector,
 )
@@ -259,12 +258,6 @@ def first_jacobi_violation(
             scale = L.denom * L.denom
             return key, tuple(Fraction(acc.get(r, 0), scale) for r in range(n))
     return None
-
-
-@lru_cache(maxsize=None)
-def derived_subalgebra(L: LieAlgebra) -> Subspace:
-    """Canonical span of all brackets [e_i, e_j], i < j."""
-    return _span(L.dim, (coeffs for _, _, coeffs in L.brackets))
 
 
 @lru_cache(maxsize=None)

@@ -26,8 +26,8 @@ _ZERO = Fraction(0)
 
 _DIM_RE = re.compile(r"dim\s+(\d+)\s*$")
 _LHS_RE = re.compile(r"\[\s*e(\d+)\s*,\s*e(\d+)\s*\]\s*=\s*")
-_NUM_RE = re.compile(r"(\d+)\s*(?:/\s*(\d+))?")
-_BASIS_RE = re.compile(r"e(\d+)")
+# one term: sign, numerator, denominator and basis index, each optional
+_TERM_RE = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*(?:/\s*(\d+))?\s*)?(?:e(\d+))?")
 
 
 class LieconstSyntaxError(ValueError):
@@ -52,55 +52,37 @@ def _int(digits: str, line: int, column: int) -> int:
 
 
 def _parse_terms(rhs: str, lineno: int, offset: int, dim: int) -> dict[int, Fraction]:
-    """Parse 'c1 ek1 + c2 ek2 - ...' into coefficients keyed by the 1-based k."""
+    """Parse 'c1 ek1 + c2 ek2 - ...' into coefficients keyed by the 1-based k.
+
+    ``_TERM_RE`` matches one term at a time; an absent group is a
+    missing piece, reported at the column where it was expected.
+    """
     coeffs: dict[int, Fraction] = {}
     pos = 0
-    first = True
-    n = len(rhs)
     while True:
-        while pos < n and rhs[pos].isspace():
-            pos += 1
-        if pos == n:
-            if first:
-                _fail("expected at least one term after '='", lineno, offset + pos + 1)
-            break
-        sign = 1
-        if first:
-            if rhs[pos] in "+-":
-                if rhs[pos] == "-":
-                    sign = -1
-                pos += 1
-        else:
-            if rhs[pos] == "+":
-                pos += 1
-            elif rhs[pos] == "-":
-                sign = -1
-                pos += 1
-            else:
-                _fail("expected '+' or '-' between terms", lineno, offset + pos + 1)
-        while pos < n and rhs[pos].isspace():
-            pos += 1
+        m = _TERM_RE.match(rhs, pos)
+        sign, num, den, k = m.groups()
+        at = m.start(1)  # the term's first character after whitespace
+        if at == len(rhs):
+            if not coeffs:
+                _fail("expected at least one term after '='", lineno, offset + at + 1)
+            return coeffs
+        if coeffs and not sign:
+            _fail("expected '+' or '-' between terms", lineno, offset + at + 1)
         coeff = Fraction(1)
-        m = _NUM_RE.match(rhs, pos)
-        if m:
-            num = _int(m.group(1), lineno, offset + m.start(1) + 1)
-            den = _int(m.group(2), lineno, offset + m.start(2) + 1) if m.group(2) else 1
-            if den == 0:
-                _fail("zero denominator", lineno, offset + pos + 1)
-            coeff = Fraction(num, den)
-            pos = m.end()
-            while pos < n and rhs[pos].isspace():
-                pos += 1
-        m = _BASIS_RE.match(rhs, pos)
-        if not m:
-            _fail("expected basis vector eK", lineno, offset + pos + 1)
-        k = _int(m.group(1), lineno, offset + m.start(1) + 1)
-        if not (1 <= k <= dim):
-            _fail(f"basis index e{k} outside 1..{dim}", lineno, offset + pos + 1)
+        if num:
+            value = _int(num, lineno, offset + m.start(2) + 1)
+            divisor = _int(den, lineno, offset + m.start(3) + 1) if den else 1
+            if divisor == 0:
+                _fail("zero denominator", lineno, offset + m.start(2) + 1)
+            coeff = Fraction(value, divisor)
+        if k is None:
+            _fail("expected basis vector eK", lineno, offset + m.end() + 1)
+        index = _int(k, lineno, offset + m.start(4) + 1)
+        if not (1 <= index <= dim):
+            _fail(f"basis index e{index} outside 1..{dim}", lineno, offset + m.start(4))
+        coeffs[index] = coeffs.get(index, _ZERO) + (-coeff if sign == "-" else coeff)
         pos = m.end()
-        coeffs[k] = coeffs.get(k, _ZERO) + sign * coeff
-        first = False
-    return coeffs
 
 
 def parse(text: str) -> LieAlgebra:

@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Ranks, inverses and the subspace lattice (span, sum, intersection,
-membership).  Every elimination runs on one kernel, ``_echelon``, a
-fraction-free echelon of sparse integer vectors, and ``_span``
-back-substitutes its output to the canonical reduced rows.  Membership
-is an echelon size too: v lies in A exactly when A's rows plus v still
-echelon to dim A vectors.  Rank decisions are exact by construction; no
-floating point enters anywhere.
+Ranks, inverses, spans and kernels.  Every elimination runs on one
+kernel, ``_echelon``, a fraction-free echelon of sparse integer vectors,
+and ``_span`` back-substitutes its output to the canonical reduced rows.
+Every other subspace question is an echelon size: v lies in A exactly
+when A's rows plus v still echelon to dim A vectors, B lies in A when
+A's rows plus B's do, and dim(A ∩ B) = dim A + dim B - dim(A + B), the
+last term being the size of the echelon of both sets of rows.  Rank
+decisions are exact by construction; no floating point enters anywhere.
 
 A sparse integer vector is a ``{index: numerator}`` dict, or a sequence
 of ``(index, numerator)`` pairs, with zero entries left out.  A
@@ -280,23 +281,3 @@ class Subspace:
     def full(cls, n: int) -> "Subspace":
         return cls(n, tuple(((i, 1),) for i in range(n)))
 
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise AmbientMismatch(f"ambient dims {a.ambient_dim} != {b.ambient_dim}")
-    return _span(a.ambient_dim, a.rows + b.rows)
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """A ∩ B by Zassenhaus: echelon the rows (a|a) and (b|0) in Q^2n.
-
-    The echelon vectors pivoting in the right half are (0|w), and their
-    w span A ∩ B.
-    """
-    if a.ambient_dim != b.ambient_dim:
-        raise AmbientMismatch(f"ambient dims {a.ambient_dim} != {b.ambient_dim}")
-    n = a.ambient_dim
-    rows = [{**dict(v), **{c + n: x for c, x in v}} for v in a.rows]
-    rows.extend(b.rows)
-    return _span(n, [{c - n: x for c, x in v.items()}
-                     for p, v in _echelon(rows).items() if p >= n])

@@ -32,14 +32,13 @@ from .liealg import (
     LieAlgebra,
     NotNilpotent,
     center,
-    derived_subalgebra,
     direct_sum,
     first_jacobi_violation,
     lcs_adapted,
     lower_central_series,
     quotient,
 )
-from .linalg import SparseMatrix, Subspace, rank, subspace_intersect, subspace_sum
+from .linalg import AmbientMismatch, SparseMatrix, Subspace, _echelon, rank
 
 
 class ComplexNotExact(RuntimeError):
@@ -150,7 +149,7 @@ def tensor_term_dim(h: LieAlgebra, k_dim: int) -> int:
     """dim of (H / H^2) tensored with an abelian ideal of dimension k_dim."""
     if k_dim < 0:
         raise ValueError("k_dim must be non-negative")
-    return (h.dim - derived_subalgebra(h).dim) * k_dim
+    return (h.dim - lower_central_series(h).derived_dim) * k_dim
 
 
 @dataclass(frozen=True)
@@ -172,10 +171,9 @@ def check_kunneth(l1: LieAlgebra, l2: LieAlgebra) -> KunnethCheck:
     lhs = schur_multiplier_dim(direct_sum(l1, l2)).dim_m
     m1 = schur_multiplier_dim(l1).dim_m
     m2 = schur_multiplier_dim(l2).dim_m
-    ab1 = l1.dim - derived_subalgebra(l1).dim
-    ab2 = l2.dim - derived_subalgebra(l2).dim
-    rhs = m1 + m2 + ab1 * ab2
-    return KunnethCheck(lhs == rhs, lhs, rhs, m1, m2, ab1 * ab2)
+    ten = tensor_term_dim(l1, l2.dim - lower_central_series(l2).derived_dim)
+    rhs = m1 + m2 + ten
+    return KunnethCheck(lhs == rhs, lhs, rhs, m1, m2, ten)
 
 
 @dataclass(frozen=True)
@@ -205,16 +203,23 @@ def check_quotient_bound(L: LieAlgebra, k: Subspace) -> QuotientBoundCheck:
     """Evaluate the central-quotient inequality for a central ideal K.
 
     K must lie inside the center (NotCentral otherwise); its own
-    multiplier is the abelian closed form dim(K)(dim(K)-1)/2.
+    multiplier is the abelian closed form dim(K)(dim(K)-1)/2.  Both
+    subspace questions are echelon sizes: K lies in Z exactly when Z's
+    rows plus K's still echelon to dim Z vectors, and
+    dim(L^2 meet K) = dim L^2 + dim K - dim(L^2 + K), where L^2 + K is
+    spanned by the stored brackets and K's rows.
     """
+    if k.ambient_dim != L.dim:
+        raise AmbientMismatch(f"subspace ambient {k.ambient_dim} != dim {L.dim}")
     z = center(L)
-    if subspace_sum(z, k) != z:
+    if len(_echelon([*z.rows, *k.rows])) != z.dim:
         raise NotCentral("K is not contained in the center")
     h = quotient(L, k)
     m_total = schur_multiplier_dim(L).dim_m
-    meet = subspace_intersect(derived_subalgebra(L), k).dim
-    m_quot = schur_multiplier_dim(h).dim_m
     dk = k.dim
+    spanned = len(_echelon([*(coeffs for _, _, coeffs in L.brackets), *k.rows]))
+    meet = lower_central_series(L).derived_dim + dk - spanned
+    m_quot = schur_multiplier_dim(h).dim_m
     m_ideal = dk * (dk - 1) // 2
     ten = tensor_term_dim(h, dk)
     return QuotientBoundCheck(

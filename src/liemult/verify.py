@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from inspect import signature
 from typing import Callable
 
 from . import catalog
@@ -114,8 +115,7 @@ def _case(case_id: str, ok: bool, detail: str = "") -> CaseResult:
     return CaseResult(case_id, bool(ok), detail)
 
 
-def run_formulas(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
-                 max_n: int = DEFAULT_MAX_N, seed: int = DEFAULT_SEED) -> SuiteReport:
+def run_formulas(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K) -> SuiteReport:
     """Closed-form multiplier dimensions against the homology computation."""
     results = []
     for m in range(1, 6):
@@ -150,7 +150,7 @@ def run_formulas(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
 
 
 def run_bounds(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
-               max_n: int = DEFAULT_MAX_N, seed: int = DEFAULT_SEED) -> SuiteReport:
+               seed: int = DEFAULT_SEED) -> SuiteReport:
     """Defect bounds and the s=2 derived-dimension gate over the population."""
     population = build_population(max_m, max_k, seed)
     # the 500-case floor is pinned to the default caps; smaller sweeps
@@ -174,8 +174,7 @@ def run_bounds(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
     return _report("bounds", results)
 
 
-def run_kunneth(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
-                max_n: int = DEFAULT_MAX_N, seed: int = DEFAULT_SEED) -> SuiteReport:
+def run_kunneth() -> SuiteReport:
     """Direct-sum additivity, both sides computed independently."""
     pool = [
         ("A(0)", catalog.abelian(0).algebra),
@@ -216,7 +215,7 @@ def _coordinate_central_subsets(L: LieAlgebra) -> list[tuple[tuple[int, ...], Su
 
 
 def run_quotient(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
-                 max_n: int = DEFAULT_MAX_N, seed: int = DEFAULT_SEED) -> SuiteReport:
+                 seed: int = DEFAULT_SEED) -> SuiteReport:
     """Central-quotient inequality over coordinate and random central ideals."""
     rng = Lcg(seed)
     results = []
@@ -323,13 +322,10 @@ SUITES: dict[str, Callable[..., SuiteReport]] = {
     "classification": run_classification,
 }
 
-# the run_suite arguments each suite reads; it accepts and ignores the others
+# the run_suite arguments each suite reads, its own parameters; the
+# others are accepted by run_suite and not passed on
 SUITE_FLAGS: dict[str, tuple[str, ...]] = {
-    "formulas": ("max_m", "max_k"),
-    "bounds": ("max_m", "max_k", "seed"),
-    "kunneth": (),
-    "quotient": ("max_m", "max_k", "seed"),
-    "classification": ("max_m", "max_k", "max_n", "seed"),
+    name: tuple(signature(run).parameters) for name, run in SUITES.items()
 }
 
 
@@ -337,4 +333,5 @@ def run_suite(name: str, max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
               max_n: int = DEFAULT_MAX_N, seed: int = DEFAULT_SEED) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](max_m=max_m, max_k=max_k, max_n=max_n, seed=seed)
+    caps = {"max_m": max_m, "max_k": max_k, "max_n": max_n, "seed": seed}
+    return SUITES[name](**{flag: caps[flag] for flag in SUITE_FLAGS[name]})

@@ -8,7 +8,10 @@ what they check.  The dense-input adapters at the end (``integer_rows``,
 other way round: they clear the denominators of dense Fraction vectors
 and hand them to the package's echelon kernel, so tests can state
 subspaces and matrices densely; ``basis_rows`` and ``at`` read a
-``Subspace`` and a ``SparseMatrix`` back as Fractions.
+``Subspace`` and a ``SparseMatrix`` back as Fractions.  The package
+answers subspace questions with echelon sizes and never forms L^2 or a
+sum of subspaces; ``derived_subalgebra`` and ``subspace_sum`` span them
+on the same kernel, for tests that need those subspaces as values.
 """
 
 from fractions import Fraction
@@ -181,3 +184,13 @@ def at(m, r, c):
 def contains(a, v):
     """Exact membership: v lies in A iff the echelon of A's rows plus v keeps size dim A."""
     return len(_echelon([*a.rows, *integer_rows([v], a.ambient_dim)])) == a.dim
+
+
+def derived_subalgebra(L):
+    """Canonical span of the stored brackets [e_i, e_j], i < j: the subspace L^2."""
+    return _span(L.dim, (coeffs for _, _, coeffs in L.brackets))
+
+
+def subspace_sum(a, b):
+    """Canonical A + B, spanned by both sets of reduced rows."""
+    return _span(a.ambient_dim, a.rows + b.rows)

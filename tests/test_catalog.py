@@ -13,7 +13,7 @@ from liemult.catalog import (
     l_4_5_2_4,
     standard_entries,
 )
-from liemult.liealg import center, derived_subalgebra, lower_central_series
+from liemult.liealg import center, lower_central_series
 from liemult.multiplier import schur_multiplier_dim
 
 
@@ -38,7 +38,7 @@ def test_heisenberg_entries():
 def test_heisenberg_structure():
     for m in (1, 2, 3):
         alg = heisenberg(m).algebra
-        assert derived_subalgebra(alg).dim == 1
+        assert lower_central_series(alg).derived_dim == 1
         assert center(alg).dim == 1
         assert lower_central_series(alg).nilpotency_class == 2
 
@@ -46,7 +46,7 @@ def test_heisenberg_structure():
 def test_l3414_pins():
     e = l_3_4_1_4()
     assert e.algebra.dim == 4
-    assert derived_subalgebra(e.algebra).dim == 2
+    assert lower_central_series(e.algebra).derived_dim == 2
     assert lower_central_series(e.algebra).nilpotency_class == 3
     rep = schur_multiplier_dim(e.algebra)
     assert rep.dim_m == e.expected_dim_m == 2
@@ -57,7 +57,7 @@ def test_l4524_pins():
     e = l_4_5_2_4()
     alg = e.algebra
     assert alg.dim == 5
-    assert derived_subalgebra(alg).dim == 2
+    assert lower_central_series(alg).derived_dim == 2
     assert center(alg).dim == 2
     assert lower_central_series(alg).nilpotency_class == 2
     rep = schur_multiplier_dim(alg)

@@ -1,5 +1,8 @@
 """CLI commands, exit codes and report determinism."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from liemult.cli import main
@@ -166,6 +169,16 @@ def test_catalog_bad_params(capsys):
     assert err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["A"], "A takes 1 parameter, got 0"),
+    (["HplusA", "1"], "HplusA takes 2 parameters, got 1"),
+    (["H", "1", "2"], "H takes 1 parameter, got 2"),
+    (["A", "2", "--plus", "H"], "H takes 1 parameter, got 0"),
+])
+def test_catalog_wrong_parameter_count(capsys, argv, message):
+    assert run(capsys, "catalog", *argv) == (4, "", f"error: {message}\n")
+
+
 def test_verify_small_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "kunneth")
     assert code == 0
@@ -253,3 +266,12 @@ def test_verify_ignored_flags_leave_report_unchanged(capsys, suite):
     for flag in sorted(set(small) - set(used)):
         code, out, _ = run(capsys, *args, "--" + flag.replace("_", "-"), other[flag])
         assert (code, out) == (0, expected), flag
+
+
+def test_readme_flag_table_matches_suite_flags():
+    from liemult.verify import SUITE_FLAGS
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = {suite: tuple(f.replace("-", "_") for f in re.findall(r"`--([a-z-]+)`", flags))
+             for suite, flags in re.findall(r"^\| `(\w+)` +\|(.*)\|$", readme, re.M)}
+    assert table == SUITE_FLAGS

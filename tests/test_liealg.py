@@ -20,14 +20,13 @@ from liemult.liealg import (
     build,
     center,
     change_of_basis,
-    derived_subalgebra,
     direct_sum,
     first_jacobi_violation,
     is_ideal,
     lower_central_series,
     quotient,
 )
-from liemult.linalg import Matrix, SingularMatrix, Subspace, subspace_sum, vector
+from liemult.linalg import Matrix, SingularMatrix, Subspace, vector
 from liemult.randgen import (
     Lcg,
     random_central_quotient,
@@ -42,9 +41,11 @@ from fraction_reference import (
     bracket_basis,
     brackets_with_basis,
     change_of_basis_table,
+    derived_subalgebra,
     from_fractions,
     from_vectors,
     jacobi_defect,
+    subspace_sum,
 )
 
 
@@ -121,10 +122,12 @@ def test_bracket_rejects_length_mismatch():
 
 
 def test_derived_subalgebra_examples():
-    assert derived_subalgebra(abelian(4).algebra) == Subspace.zero(4)
+    # dim L^2 is the size of the series walk's first echelon
+    assert lower_central_series(abelian(4).algebra).derived_dim == 0
     for m in (1, 2, 3):
-        assert derived_subalgebra(heisenberg(m).algebra).dim == 1
-    assert derived_subalgebra(l_3_4_1_4().algebra).dim == 2
+        assert lower_central_series(heisenberg(m).algebra).derived_dim == 1
+    assert lower_central_series(l_3_4_1_4().algebra).derived_dim == 2
+    assert lower_central_series(l4524_plus_a1().algebra).derived_dim == 2
 
 
 def test_center_examples():
@@ -209,7 +212,7 @@ def test_direct_sum_examples():
     assert direct_sum(h1, abelian(0).algebra) == h1
     s = direct_sum(h1, abelian(1).algebra)
     assert s.dim == 4
-    assert derived_subalgebra(s).dim == 1
+    assert lower_central_series(s).derived_dim == 1
     assert direct_sum(abelian(2).algebra, abelian(3).algebra) == abelian(5).algebra
 
 
@@ -220,8 +223,8 @@ def test_direct_sum_derived_dims_add():
         (abelian(3).algebra, l_3_4_1_4().algebra),
     ]
     for a, b in cases:
-        assert (derived_subalgebra(direct_sum(a, b)).dim
-                == derived_subalgebra(a).dim + derived_subalgebra(b).dim)
+        assert (lower_central_series(direct_sum(a, b)).derived_dim
+                == lower_central_series(a).derived_dim + lower_central_series(b).derived_dim)
 
 
 def test_change_of_basis_identity():

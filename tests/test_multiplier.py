@@ -14,7 +14,7 @@ from liemult.catalog import (
     l_4_5_2_4,
 )
 from liemult.liealg import NotNilpotent, build, center, change_of_basis, lcs_adapted
-from liemult.linalg import Matrix, Subspace, rank, vector
+from liemult.linalg import AmbientMismatch, Matrix, Subspace, rank, vector
 from liemult.multiplier import (
     NotCentral,
     ce_d2,
@@ -25,9 +25,9 @@ from liemult.multiplier import (
     schur_multiplier_dim,
     tensor_term_dim,
 )
-from liemult.randgen import Lcg, random_change_of_basis, random_unimodular
+from liemult.randgen import Lcg, random_central_subspace, random_change_of_basis, random_unimodular
 
-from fraction_reference import at, from_vectors
+from fraction_reference import at, basis_rows, from_vectors
 
 
 def _is_zero(m):
@@ -152,6 +152,16 @@ def test_quotient_bound_rejects_non_central():
     alg = l_3_4_1_4().algebra
     with pytest.raises(NotCentral):
         check_quotient_bound(alg, from_vectors(4, [[0, 0, 1, 0]]))
+    # span(e3, e4) is an ideal whose e4 is central and whose e3 is not
+    with pytest.raises(NotCentral):
+        check_quotient_bound(alg, from_vectors(4, [[0, 0, 0, 1], [0, 0, 1, 0]]))
+
+
+def test_quotient_bound_rejects_wrong_ambient():
+    alg = heisenberg(1).algebra
+    for k in (Subspace.zero(4), Subspace.full(2), from_vectors(4, [[0, 0, 1, 0]])):
+        with pytest.raises(AmbientMismatch):
+            check_quotient_bound(alg, k)
 
 
 def test_defect_bounds_examples():
@@ -315,3 +325,28 @@ def test_boundaries_match_sympy_oracle(alg):
                    for r in range(ours.rows) for c in range(ours.cols))
     assert rank(ours2) == d2.rank()
     assert rank(ours3) == d3.rank()
+
+
+def _sympy_rank(sympy, n, rows):
+    return sympy.Matrix(len(rows), n, [sympy.Rational(x.numerator, x.denominator)
+                                       for row in rows for x in row]).rank()
+
+
+def test_quotient_bound_meet_matches_sympy_rank():
+    """dim(L^2 meet K) against sympy: rank L^2 + rank K - rank of both stacked."""
+    sympy = pytest.importorskip("sympy")
+    rng = Lcg(109)
+    seen = set()
+    for case in _oracle_cases():
+        alg = case.values[0]
+        n = alg.dim
+        derived = [c for _, _, c in alg.table]
+        for _ in range(4):
+            k = random_central_subspace(alg, rng)
+            rows = list(basis_rows(k))
+            want = (_sympy_rank(sympy, n, derived) + _sympy_rank(sympy, n, rows)
+                    - _sympy_rank(sympy, n, derived + rows))
+            assert check_quotient_bound(alg, k).derived_meet_ideal == want
+            seen.add((want, k.dim))
+    assert any(m == 0 < d for m, d in seen)  # a nonzero K that misses L^2
+    assert any(0 < m < d for m, d in seen)  # a K that meets L^2 in a proper subspace
