@@ -9,10 +9,15 @@ equality and the hash read it directly, and antisymmetry is structural.
 want them; nothing here computes with it.  Every constructor (``build``,
 ``direct_sum``, ``quotient``, ``change_of_basis``) ends in ``_make``,
 which reduces numerators and denominator by their common gcd and sorts
-the brackets.  ``first_jacobi_violation`` is the one Jacobi test:
-``build``, the one constructor fed outside input, runs it; algebras
-derived from valid ones (sums, quotients by ideals, base changes) are
-valid by construction, and the multiplier re-checks only ``lcs_adapted(L)``.
+the brackets; ``build`` takes int coefficients as they are and makes a
+Fraction of no other.  ``first_jacobi_violation`` is the one Jacobi
+test: ``build``, the one constructor fed outside input, runs it on
+``lcs_adapted(L)``, as the identity holds on every basis or on none, and
+scans the original table only to name the first failing triple of an
+invalid one.  Algebras derived from valid ones (sums, quotients by
+ideals, base changes) are valid by construction, and the multiplier
+re-checks only ``lcs_adapted(L)``, the same transport, kept in a small
+private cache.
 
 The Jacobi check, the center, the lower central series, the ideal test
 and the boundary maps of :mod:`liemult.multiplier` all read the stored
@@ -54,7 +59,6 @@ from .linalg import (
     _inverse,
     _kernel,
     rat,
-    vector,
 )
 
 _ZERO = Fraction(0)
@@ -174,7 +178,7 @@ def build(
     """
     if dim < 0:
         raise IndexOutOfRange(f"dimension must be non-negative, got {dim}")
-    mapping: dict[tuple[int, int], dict[int, Fraction]] = {}
+    mapping: dict[tuple[int, int], dict[int, Union[int, Fraction]]] = {}
     for i, j, coeffs in brackets:
         if not (1 <= i < j <= dim):
             raise IndexOutOfRange(
@@ -187,9 +191,9 @@ def build(
                     raise IndexOutOfRange(
                         f"coefficient of [e{i},e{j}] names e{k}, outside 1..{dim}"
                     )
-                sparse[k - 1] = rat(x)
+                sparse[k - 1] = x if isinstance(x, int) else rat(x)
         else:
-            coeffs = vector(coeffs)
+            coeffs = [x if isinstance(x, int) else rat(x) for x in coeffs]
             if len(coeffs) != dim:
                 raise IndexOutOfRange(
                     f"coefficient vector for [e{i},e{j}] has length "
@@ -205,11 +209,15 @@ def build(
         key: [(m, x.numerator * (denom // x.denominator)) for m, x in c.items()]
         for key, c in mapping.items()
     })
+    # the Jacobi identity holds on every basis or on none, and the adapted
+    # table, which the multiplier ranks on too, has far fewer constants
+    if first_jacobi_violation(lcs_adapted(alg)) is None:
+        return alg
     bad = first_jacobi_violation(alg)
-    if bad is not None:
-        (i, j, k), defect = bad
-        raise JacobiViolation((i + 1, j + 1, k + 1), defect)
-    return alg
+    if bad is None:
+        raise RuntimeError("Jacobi defect on the adapted table only: the transport is wrong")
+    (i, j, k), defect = bad
+    raise JacobiViolation((i + 1, j + 1, k + 1), defect)
 
 
 def _adjoint(n: int, brackets: Brackets) -> list[dict[int, Coefficients]]:
@@ -340,9 +348,15 @@ def lower_central_series(L: LieAlgebra) -> SeriesReport:
     return SeriesReport(
         (L.dim, *(len(t) for t in terms)),
         len(terms) if nilpotent else None,
-        len(terms[0]) if terms else L.dim,
+        _derived_dim(L),
         center(L).dim,
     )
+
+
+def _derived_dim(L: LieAlgebra) -> int:
+    """dim L^2 from the echelons of ``_series``, for callers that need no center."""
+    terms, _ = _series(L)
+    return len(terms[0]) if terms else L.dim
 
 
 def lcs_basis(L: LieAlgebra) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
@@ -358,10 +372,10 @@ def lcs_basis(L: LieAlgebra) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
     non-nilpotent series stabilises).
     """
     terms, _ = _series(L)
-    echelons = [{c: {c: 1} for c in range(L.dim)}, *terms]
-    basis: list[SparseRow] = []
-    weights: list[int] = []
-    for k, (term, below) in enumerate(zip(echelons, [*echelons[1:], {}]), start=1):
+    derived = terms[0] if terms else {}
+    basis: list[SparseRow] = [((c, 1),) for c in range(L.dim) if c not in derived]
+    weights: list[int] = [1] * len(basis)
+    for k, (term, below) in enumerate(zip(terms, [*terms[1:], {}]), start=2):
         for p, v in sorted(term.items()):
             if p not in below:
                 basis.append(tuple(sorted(v.items())))
@@ -376,11 +390,19 @@ def lcs_adapted(L: LieAlgebra) -> LieAlgebra:
     constants are zero.  A basis of multiples of the e_c only reorders
     and rescales e_1..e_n, which keeps the zero pattern of the structure
     constants, so it is not transported; every catalog table and direct
-    sum is in that case.
+    sum is in that case.  ``build`` and ``schur_multiplier_dim`` both
+    ask for it, so one transport per algebra is kept in a small cache.
     """
+    adapted = _adapted(L)
+    return L if adapted is None else adapted
+
+
+@lru_cache(maxsize=32)
+def _adapted(L: LieAlgebra) -> Optional[LieAlgebra]:
+    """``lcs_adapted(L)``, or None when it is L itself (the cache may hold an equal copy of L)."""
     basis, _ = lcs_basis(L)
     if all(len(v) == 1 for v in basis):
-        return L
+        return None
     rows = [[0] * L.dim for _ in basis]
     for row, v in zip(rows, basis):
         for c, x in v:

@@ -22,8 +22,6 @@ from fractions import Fraction
 
 from .liealg import LieAlgebra, build
 
-_ZERO = Fraction(0)
-
 _DIM_RE = re.compile(r"dim\s+(\d+)\s*$")
 _LHS_RE = re.compile(r"\[\s*e(\d+)\s*,\s*e(\d+)\s*\]\s*=\s*")
 # one term: sign, numerator, denominator and basis index, each optional
@@ -51,13 +49,14 @@ def _int(digits: str, line: int, column: int) -> int:
         _fail(f"number of {len(digits)} digits is too long", line, column)
 
 
-def _parse_terms(rhs: str, lineno: int, offset: int, dim: int) -> dict[int, Fraction]:
+def _parse_terms(rhs: str, lineno: int, offset: int, dim: int) -> dict[int, int | Fraction]:
     """Parse 'c1 ek1 + c2 ek2 - ...' into coefficients keyed by the 1-based k.
 
     ``_TERM_RE`` matches one term at a time; an absent group is a
-    missing piece, reported at the column where it was expected.
+    missing piece, reported at the column where it was expected.  A
+    coefficient stays an int unless it is written p/q.
     """
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int | Fraction] = {}
     pos = 0
     while True:
         m = _TERM_RE.match(rhs, pos)
@@ -69,19 +68,20 @@ def _parse_terms(rhs: str, lineno: int, offset: int, dim: int) -> dict[int, Frac
             return coeffs
         if coeffs and not sign:
             _fail("expected '+' or '-' between terms", lineno, offset + at + 1)
-        coeff = Fraction(1)
+        coeff: int | Fraction = 1
         if num:
-            value = _int(num, lineno, offset + m.start(2) + 1)
-            divisor = _int(den, lineno, offset + m.start(3) + 1) if den else 1
-            if divisor == 0:
-                _fail("zero denominator", lineno, offset + m.start(2) + 1)
-            coeff = Fraction(value, divisor)
+            coeff = _int(num, lineno, offset + m.start(2) + 1)
+            if den:
+                divisor = _int(den, lineno, offset + m.start(3) + 1)
+                if divisor == 0:
+                    _fail("zero denominator", lineno, offset + m.start(2) + 1)
+                coeff = Fraction(coeff, divisor)
         if k is None:
             _fail("expected basis vector eK", lineno, offset + m.end() + 1)
         index = _int(k, lineno, offset + m.start(4) + 1)
         if not (1 <= index <= dim):
             _fail(f"basis index e{index} outside 1..{dim}", lineno, offset + m.start(4))
-        coeffs[index] = coeffs.get(index, _ZERO) + (-coeff if sign == "-" else coeff)
+        coeffs[index] = coeffs.get(index, 0) + (-coeff if sign == "-" else coeff)
         pos = m.end()
 
 
@@ -93,7 +93,7 @@ def parse(text: str) -> LieAlgebra:
     validation.
     """
     dim: int | None = None
-    brackets: list[tuple[int, int, dict[int, Fraction]]] = []
+    brackets: list[tuple[int, int, dict[int, int | Fraction]]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         content = raw.split("#", 1)[0]
         stripped = content.strip()

@@ -48,10 +48,6 @@ def rat(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def vector(xs: Iterable[Scalar]) -> Vector:
-    return tuple(rat(x) for x in xs)
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Dense matrix of rationals, row-major, immutable."""

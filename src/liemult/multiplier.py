@@ -13,7 +13,7 @@ adapted to its lower central series (``liealg.lcs_adapted``), where
 [L^i, L^j] ⊆ L^(i+j) leaves most structure constants zero and d3 far
 sparser than on a dense table.  Column (i,j,k) of d2 . d3 is, up to
 sign, the Jacobi defect of (e_i, e_j, e_k), so ``first_jacobi_violation``
-guards the complex on the adapted table, the one table made here.
+guards the complex on the adapted table it is built on.
 
 Also provided as executable checks with witnesses: additivity of the
 multiplier over direct sums (with the abelianization tensor term), the
@@ -31,6 +31,7 @@ from typing import Optional
 from .liealg import (
     LieAlgebra,
     NotNilpotent,
+    _derived_dim,
     center,
     direct_sum,
     first_jacobi_violation,
@@ -149,7 +150,7 @@ def tensor_term_dim(h: LieAlgebra, k_dim: int) -> int:
     """dim of (H / H^2) tensored with an abelian ideal of dimension k_dim."""
     if k_dim < 0:
         raise ValueError("k_dim must be non-negative")
-    return (h.dim - lower_central_series(h).derived_dim) * k_dim
+    return (h.dim - _derived_dim(h)) * k_dim
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def check_kunneth(l1: LieAlgebra, l2: LieAlgebra) -> KunnethCheck:
     lhs = schur_multiplier_dim(direct_sum(l1, l2)).dim_m
     m1 = schur_multiplier_dim(l1).dim_m
     m2 = schur_multiplier_dim(l2).dim_m
-    ten = tensor_term_dim(l1, l2.dim - lower_central_series(l2).derived_dim)
+    ten = tensor_term_dim(l1, l2.dim - _derived_dim(l2))
     rhs = m1 + m2 + ten
     return KunnethCheck(lhs == rhs, lhs, rhs, m1, m2, ten)
 
@@ -218,7 +219,7 @@ def check_quotient_bound(L: LieAlgebra, k: Subspace) -> QuotientBoundCheck:
     m_total = schur_multiplier_dim(L).dim_m
     dk = k.dim
     spanned = len(_echelon([*(coeffs for _, _, coeffs in L.brackets), *k.rows]))
-    meet = lower_central_series(L).derived_dim + dk - spanned
+    meet = _derived_dim(L) + dk - spanned
     m_quot = schur_multiplier_dim(h).dim_m
     m_ideal = dk * (dk - 1) // 2
     ten = tensor_term_dim(h, dk)

@@ -12,8 +12,12 @@ subspaces and matrices densely; ``basis_rows`` and ``at`` read a
 answers subspace questions with echelon sizes and never forms L^2 or a
 sum of subspaces; ``derived_subalgebra`` and ``subspace_sum`` span them
 on the same kernel, for tests that need those subspaces as values.
+``vector`` writes a dense Fraction vector from ints, strings or
+Fractions.  ``clear_caches`` empties the package's functools caches, so
+that a test can count what one cold request computes.
 """
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -23,6 +27,11 @@ from liemult.linalg import AmbientMismatch, SingularMatrix, _echelon, _span, rat
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def vector(xs):
+    """A dense Fraction vector from ints, strings or Fractions."""
+    return tuple(rat(x) for x in xs)
 
 
 def from_fractions(n, mapping):
@@ -194,3 +203,12 @@ def derived_subalgebra(L):
 def subspace_sum(a, b):
     """Canonical A + B, spanned by both sets of reduced rows."""
     return _span(a.ambient_dim, a.rows + b.rows)
+
+
+def clear_caches():
+    """Empty every functools cache on the liemult modules, as at the start of a process."""
+    for name, mod in list(sys.modules.items()):
+        if name == "liemult" or name.startswith("liemult."):
+            for obj in vars(mod).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()

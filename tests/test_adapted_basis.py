@@ -26,7 +26,7 @@ from liemult.linalg import Matrix
 from liemult.multiplier import schur_multiplier_dim
 from liemult.randgen import Lcg, random_unimodular
 
-from fraction_reference import bracket, brackets_with_basis, change_of_basis_table
+from fraction_reference import bracket, brackets_with_basis, change_of_basis_table, clear_caches
 
 
 def _filiform(n):
@@ -178,4 +178,28 @@ def test_catalog_tables_skip_the_transport(monkeypatch):
 
     # a base change that mixes the flag is transported, once
     schur_multiplier_dim.__wrapped__(moved)
+    assert calls == [moved]
+
+
+def test_classify_request_transports_a_dense_table_once(monkeypatch, tmp_path, capsys):
+    # parse validates on the adapted table and the multiplier ranks on it:
+    # one cold request shares a single transport between the two
+    from liemult.cli import main
+    from liemult.lieconst import render
+
+    moved = change_of_basis(_filiform(7), random_unimodular(7, Lcg(9), steps=84))
+    assert lcs_adapted(moved) is not moved
+    path = tmp_path / "moved.lie"
+    path.write_text(render(moved))
+    calls = []
+    transport = liealg._transport
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return transport(*args, **kw)
+
+    monkeypatch.setattr(liealg, "_transport", counted)
+    clear_caches()
+    assert main(["classify", str(path)]) == 0
+    assert "status=" in capsys.readouterr().out
     assert calls == [moved]

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from liemult import liealg
 from liemult.catalog import (
     abelian,
     heisenberg,
@@ -17,16 +18,19 @@ from liemult.liealg import (
     DuplicateBracket,
     IndexOutOfRange,
     JacobiViolation,
+    _make,
     build,
     center,
     change_of_basis,
     direct_sum,
     first_jacobi_violation,
     is_ideal,
+    lcs_adapted,
     lower_central_series,
     quotient,
 )
-from liemult.linalg import Matrix, SingularMatrix, Subspace, vector
+from liemult.lieconst import parse, render
+from liemult.linalg import Matrix, SingularMatrix, Subspace
 from liemult.randgen import (
     Lcg,
     random_central_quotient,
@@ -46,6 +50,7 @@ from fraction_reference import (
     from_vectors,
     jacobi_defect,
     subspace_sum,
+    vector,
 )
 
 
@@ -336,6 +341,77 @@ def test_first_jacobi_violation_matches_brute_force_scan():
         invalid += expected is not None
     # both outcomes are exercised in earnest
     assert 300 < invalid < 900
+
+
+def _bracket_data(alg):
+    """1-based ``build`` input for a stored table: ints when it is integral, else Fractions."""
+    d = alg.denom
+    return [(i + 1, j + 1, {m + 1: a if d == 1 else Fraction(a, d) for m, a in coeffs})
+            for i, j, coeffs in alg.brackets]
+
+
+def _planted_tables(rng):
+    """Seeded tables as p/q and as their integral numerators, each also moved by an integral base change.
+
+    Scaling every constant by the common denominator scales every
+    Jacobi defect by its square, so both forms fail on the same triples.
+    """
+    for _ in range(150):
+        alg = _random_table(rng)
+        integral = _make(alg.dim, 1, {(i, j): c for i, j, c in alg.brackets})
+        for table in (alg, integral):
+            n = table.dim
+            yield table
+            yield change_of_basis(table, random_unimodular(n, rng, steps=3 * n))
+
+
+def test_build_names_the_violation_of_the_original_table():
+    # build checks the lcs-adapted table; on a defect it must still name
+    # the first failing triple and defect of the table it was given
+    moved = fractional = 0
+    for table in _planted_tables(Lcg(59)):
+        expected = first_jacobi_violation(table)
+        for load in (lambda: build(table.dim, _bracket_data(table)),
+                     lambda: parse(render(table))):
+            if expected is None:
+                assert load() == table
+                continue
+            with pytest.raises(JacobiViolation) as exc:
+                load()
+            (i, j, k), defect = expected
+            assert exc.value.triple == (i + 1, j + 1, k + 1)
+            assert exc.value.defect == defect
+            assert str(exc.value) == str(JacobiViolation((i + 1, j + 1, k + 1), defect))
+        if expected is not None:
+            moved += lcs_adapted(table) != table
+            fractional += table.denom > 1
+    # many planted defects sit on tables that the check transports first
+    assert moved > 150 and fractional > 80
+
+
+def test_valid_dense_base_change_never_scans_its_original_table(monkeypatch):
+    rng = Lcg(61)
+    cases = []
+    for alg in [*_SMALL_CATALOG, *(_filiform(n) for n in (5, 6, 7))]:
+        n = alg.dim
+        for _ in range(3):
+            cases.append(change_of_basis(alg, random_unimodular(n, rng, steps=12 * n)))
+    scanned = []
+    check = liealg.first_jacobi_violation
+
+    def recorded(L):
+        scanned.append(L)
+        return check(L)
+
+    monkeypatch.setattr(liealg, "first_jacobi_violation", recorded)
+    transported = 0
+    for moved in cases:
+        del scanned[:]
+        assert build(moved.dim, _bracket_data(moved)) == moved
+        adapted = lcs_adapted(moved)
+        assert scanned == [adapted]
+        transported += adapted != moved
+    assert transported == len(cases)
 
 
 def _sympy_rows(sympy, vecs):

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from liemult.catalog import abelian, heisenberg, l_3_4_1_4, standard_entries
-from liemult.liealg import IndexOutOfRange, JacobiViolation, quotient
+from liemult.liealg import IndexOutOfRange, JacobiViolation, build, change_of_basis, quotient
 from liemult.lieconst import LieconstSyntaxError, _fail, _int, _parse_terms, parse, render
-from liemult.linalg import vector
-from liemult.randgen import Lcg
+from liemult.linalg import Matrix
+from liemult.randgen import Lcg, random_change_of_basis, random_unimodular
 
-from fraction_reference import from_vectors
+from fraction_reference import from_vectors, vector
 
 
 def test_parse_heisenberg():
@@ -180,3 +180,91 @@ def test_term_scanner_matches_reference_scanner():
         assert _outcome(_parse_terms, rhs) == want, rhs[:80]
         errors += isinstance(want, tuple)
     assert 10000 < errors < 20000
+
+
+def _shuffle(rng, items):
+    for a in range(len(items) - 1, 0, -1):
+        b = rng.randint(0, a)
+        items[a], items[b] = items[b], items[a]
+
+
+def _term(rng, c, k):
+    """One signed term for the coefficient c of e_k, in one of its spellings."""
+    sign = "-" if c < 0 else "+"
+    mag = -c if c < 0 else c
+    f = rng.randint(1, 4)
+    if mag.denominator == 1 and rng.randint(0, 1):
+        body = "" if mag == 1 and rng.randint(0, 1) else f"{mag.numerator}{rng.choice(('', ' '))}"
+    else:
+        # p/q, not always in lowest terms
+        body = f"{mag.numerator * f}/{mag.denominator * f} "
+    return sign, f"{body}e{k}"
+
+
+def _spelled(rng, coeffs, n):
+    """'c1 ek1 + ...' for a {k: Fraction} mapping, split, repeated, padded with cancelling terms, shuffled."""
+    terms = []
+    for k, c in coeffs.items():
+        for _ in range(rng.randint(0, 2)):
+            part = Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3)))
+            terms.append(_term(rng, part, k))
+            c -= part
+        terms.append(_term(rng, c, k))
+    for _ in range(rng.randint(0 if terms else 1, 2)):
+        k = rng.randint(1, n)
+        x = Fraction(rng.randint(1, 5), rng.choice((1, 2)))
+        terms += [_term(rng, x, k), _term(rng, -x, k)]
+    _shuffle(rng, terms)
+    return "".join(f" {sign} {body}" for sign, body in terms).lstrip(" +")
+
+
+def test_integer_tokeniser_matches_fraction_reference():
+    # parse keeps coefficients as ints and makes a Fraction only for p/q;
+    # the stored form and hash must be those of the Fraction scanner's
+    rng = Lcg(127)
+    algebras = [e.algebra for e in standard_entries(3, 2)]
+    for alg in [a for a in algebras if a.dim]:
+        u = random_unimodular(alg.dim, rng)
+        scale = [Fraction(rng.randint(1, 3), rng.choice((1, 2, 3))) for _ in range(alg.dim)]
+        algebras.append(change_of_basis(alg, u))
+        algebras.append(change_of_basis(alg, Matrix.from_rows(
+            [[x * y for y in row] for x, row in zip(scale, u.iter_rows())])))
+    lines = 0
+    for alg in algebras:
+        n = alg.dim
+        rows = [(i + 1, j + 1, {m + 1: Fraction(a, alg.denom) for m, a in coeffs})
+                for i, j, coeffs in alg.brackets]
+        stored = {(i, j) for i, j, _ in rows}
+        free = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) not in stored]
+        if free:
+            # a bracket whose terms all cancel is a zero bracket
+            rows.append((*rng.choice(free), {}))
+        _shuffle(rng, rows)
+        text = f"dim {n}\n" + "".join(f"[e{i},e{j}] = {_spelled(rng, c, n)}\n" for i, j, c in rows)
+        got = parse(text)
+        reference = build(n, [(i, j, _reference_parse_terms(line.split("= ", 1)[1], 0, 0, n))
+                              for (i, j, _), line in zip(rows, text.splitlines()[1:])])
+        stored_form = (n, alg.denom, alg.brackets)
+        assert (got.dim, got.denom, got.brackets) == stored_form
+        assert (reference.dim, reference.denom, reference.brackets) == stored_form
+        assert hash(got) == hash(reference) == hash(alg)
+        assert type(got.denom) is int
+        assert all(type(a) is int for _, _, coeffs in got.brackets for _, a in coeffs)
+        lines += len(rows)
+    assert lines > 250
+
+
+def test_build_equal_for_int_and_fraction_coefficients():
+    rng = Lcg(131)
+    tables = [e.algebra for e in standard_entries(3, 2) if e.algebra.dim]
+    tables += [random_change_of_basis(a, rng) for a in tables]
+    for table in tables:
+        n = table.dim
+        assert table.denom == 1
+        as_int = [(i + 1, j + 1, {m + 1: a for m, a in c}) for i, j, c in table.brackets]
+        as_fraction = [(i, j, {k: Fraction(a) for k, a in c.items()}) for i, j, c in as_int]
+        dense = [(i, j, [c.get(k, 0) for k in range(1, n + 1)]) for i, j, c in as_int]
+        dense_fraction = [(i, j, [Fraction(x) for x in v]) for i, j, v in dense]
+        built = [build(n, data) for data in (as_int, as_fraction, dense, dense_fraction)]
+        assert all(b == table and hash(b) == hash(table) for b in built)
+        assert all(type(a) is int for b in built for _, _, c in b.brackets for _, a in c)

@@ -12,7 +12,6 @@ from liemult.linalg import (
     _echelon,
     _inverse,
     _kernel,
-    vector,
 )
 from liemult.randgen import Lcg
 
@@ -25,6 +24,7 @@ from fraction_reference import (
     row_space,
     unit_vector,
     vec_mat,
+    vector,
 )
 
 

@@ -14,7 +14,7 @@ from liemult.catalog import (
     l_4_5_2_4,
 )
 from liemult.liealg import NotNilpotent, build, center, change_of_basis, lcs_adapted
-from liemult.linalg import AmbientMismatch, Matrix, Subspace, rank, vector
+from liemult.linalg import AmbientMismatch, Matrix, Subspace, rank
 from liemult.multiplier import (
     NotCentral,
     ce_d2,
@@ -27,7 +27,7 @@ from liemult.multiplier import (
 )
 from liemult.randgen import Lcg, random_central_subspace, random_change_of_basis, random_unimodular
 
-from fraction_reference import at, basis_rows, from_vectors
+from fraction_reference import at, basis_rows, from_vectors, vector
 
 
 def _is_zero(m):

@@ -9,6 +9,8 @@ from liemult.verify import (
     run_suite,
 )
 
+from fraction_reference import clear_caches
+
 
 def test_lcg_stream_is_documented_and_stable():
     rng = Lcg(7)
@@ -67,3 +69,13 @@ def test_reports_are_sorted_and_repeatable():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nope")
+
+
+def test_quotient_suite_computes_no_center_of_a_quotient():
+    # the abelianization tensor term reads dim L^2 from the series walk,
+    # so only the algebras whose central ideals are drawn need a center
+    from liemult import liealg
+
+    clear_caches()
+    assert run_suite("quotient").passed
+    assert liealg.center.cache_info().misses == 24
