@@ -26,7 +26,8 @@ contribution into its sorted triple, so its cost grows with the nonzero
 structure constants.  The center is the kernel of the stacked adjoint,
 built as sparse integer rows; each term of the lower central series, and
 the test [L, S] ⊆ S, is echeloned by the exact fraction-free kernel of
-:mod:`liemult.linalg` that also computes ``linalg.rank``.  The series is
+:mod:`liemult.linalg` that also computes ``linalg.rank``; L^2 is the
+echelon of the stored bracket vectors themselves.  The series is
 walked once per algebra, by the cached ``_series``, whose echelons give
 both the dimensions, dim L^2 among them, and ``lcs_basis``, a basis
 adapted to the flag L ⊃ L^2 ⊃ ... on which [L^i, L^j] ⊆ L^(i+j);
@@ -35,8 +36,8 @@ complex there.  A quotient L/K comes from one reduced echelon of K's
 integer rows on that kernel, pivoting on each vector's largest index;
 only the stored brackets are projected.  A base change transports only
 the stored brackets, in integers, and multiplies them by the inverse
-read from the reduced echelon of [Q | I]; ``lcs_adapted`` calls that
-integer transport directly.
+read from the reduced echelon of [Q | I], or, for the seeded base
+changes of :mod:`liemult.randgen`, built exactly by their generator.
 """
 
 from __future__ import annotations
@@ -318,8 +319,9 @@ def _integer_brackets(ad: list, v: Iterable[tuple[int, int]]) -> list[dict[int, 
 def _series(L: LieAlgebra) -> tuple[tuple[dict[int, dict[int, int]], ...], bool]:
     """Echelons of the distinct terms L^2, L^3, ..., and whether the series reached 0.
 
-    Each term is spanned by the [v, e_t] for v in the echelon of the
-    previous one, formed in integers from the stored brackets and
+    L^2 is the echelon of the stored bracket vectors, each bracket once.
+    Each later term is spanned by the [v, e_t] for v in the echelon of
+    the previous one, formed in integers from the stored brackets and
     echeloned by the kernel.  The walk stops at the zero term, which is
     then the last echelon, or when a term's echelon has the size of the
     previous one: the series has stabilised above zero, and that
@@ -327,13 +329,14 @@ def _series(L: LieAlgebra) -> tuple[tuple[dict[int, dict[int, int]], ...], bool]
     """
     ad = _adjoint(L.dim, L.brackets)
     terms: list[dict[int, dict[int, int]]] = []
-    cur: list[dict[int, int]] = [{i: 1} for i in range(L.dim)]
-    while cur:
-        nxt = _echelon(w for v in cur for w in _integer_brackets(ad, v.items()))
-        if len(nxt) == len(cur):
+    size = L.dim
+    nxt = _echelon(coeffs for _, _, coeffs in L.brackets)
+    while size:
+        if len(nxt) == size:
             return tuple(terms), False
         terms.append(nxt)
-        cur = list(nxt.values())
+        size = len(nxt)
+        nxt = _echelon(w for v in nxt.values() for w in _integer_brackets(ad, v.items()))
     return tuple(terms), True
 
 
@@ -407,7 +410,7 @@ def _adapted(L: LieAlgebra) -> Optional[LieAlgebra]:
     for row, v in zip(rows, basis):
         for c, x in v:
             row[c] = x
-    return _transport(L, rows)
+    return _transport(L, rows, _inverse(rows))
 
 
 def is_ideal(L: LieAlgebra, s: Subspace) -> bool:
@@ -483,20 +486,22 @@ def change_of_basis(L: LieAlgebra, p: Matrix) -> LieAlgebra:
             f"basis-change matrix must be {n}x{n}, got {p.rows}x{p.cols}"
         )
     q = lcm(*(x.denominator for x in p.entries))
-    return _transport(L, [[x.numerator * (q // x.denominator) for x in row]
-                          for row in p.iter_rows()], q)
+    rows = [[x.numerator * (q // x.denominator) for x in row] for row in p.iter_rows()]
+    return _transport(L, rows, _inverse(rows), q)
 
 
-def _transport(L: LieAlgebra, rows: Sequence[Sequence[int]], q: int = 1) -> LieAlgebra:
+def _transport(L: LieAlgebra, rows: Sequence[Sequence[int]],
+               inverse: tuple[int, Sequence[Mapping[int, int]]], q: int = 1) -> LieAlgebra:
     """L on the basis g_i = sum_j Q[i][j] e_j of an invertible integer Q, constants over q.
 
     [g_i, g_j] = sum over the stored (a, b) of
     (Q_ia Q_jb - Q_ib Q_ja) [e_a, e_b], and the coordinates on the g's
-    are that times Q^-1 = R/d.  So each stored bracket is first
+    are that times Q^-1 = R/d, which the caller gives as ``inverse`` =
+    (d, R), R in sparse rows.  So each stored bracket is first
     multiplied by R, and every constant ends up over q * d * denom.
     """
     n = L.dim
-    d, inv = _inverse(rows)
+    d, inv = inverse
     images = []
     for a, b, coeffs in L.brackets:
         image: dict[int, int] = {}

@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Optional, Sequence
 
-from .liealg import LieAlgebra, change_of_basis, center, quotient
+from .liealg import LieAlgebra, _transport, center, quotient
 from .linalg import Matrix, Subspace, _span
 
 _MULT = 6364136223846793005
@@ -47,14 +47,16 @@ class Lcg:
         return seq[self.randint(0, len(seq) - 1)]
 
 
-def random_unimodular(n: int, rng: Lcg, steps: Optional[int] = None) -> Matrix:
-    """Invertible integer matrix built from shears, swaps and negations.
+def _unimodular(n: int, rng: Lcg, steps: Optional[int] = None
+                ) -> tuple[list[list[int]], list[dict[int, int]]]:
+    """Rows of an integer Q built from shears, swaps and negations, and the sparse rows of Q^-1.
 
-    Every step preserves |det| = 1, so the result is always invertible
-    and its inverse is again integral (keeping transported structure
-    constants integral and elimination fast).
+    Every step keeps |det| = 1 and is mirrored on Q^-1 by the inverse column
+    operation: "row i += lam row j" by "column j -= lam column i", a swap or
+    negation of rows by the same on columns.  So Q^-1 is exact, with no elimination.
     """
     rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    cols = [list(row) for row in rows]  # the columns of Q^-1
     if n >= 2:
         if steps is None:
             steps = 2 * n + 2
@@ -66,19 +68,28 @@ def random_unimodular(n: int, rng: Lcg, steps: Optional[int] = None) -> Matrix:
                 j = j0 + (1 if j0 >= i else 0)
                 lam = rng.choice((-2, -1, 1, 2))
                 rows[i] = [a + lam * b for a, b in zip(rows[i], rows[j])]
+                cols[j] = [a - lam * b for a, b in zip(cols[j], cols[i])]
             elif op == 2:
                 i = rng.randint(0, n - 1)
                 j = rng.randint(0, n - 1)
                 rows[i], rows[j] = rows[j], rows[i]
+                cols[i], cols[j] = cols[j], cols[i]
             else:
                 i = rng.randint(0, n - 1)
                 rows[i] = [-a for a in rows[i]]
-    return Matrix.from_rows(rows, cols=n)
+                cols[i] = [-a for a in cols[i]]
+    return rows, [{c: x for c, x in enumerate(r) if x} for r in zip(*cols)]
+
+
+def random_unimodular(n: int, rng: Lcg, steps: Optional[int] = None) -> Matrix:
+    """The unimodular Q of ``_unimodular`` as a ``Matrix``, from the same draws of ``rng``."""
+    return Matrix.from_rows(_unimodular(n, rng, steps)[0], cols=n)
 
 
 def random_change_of_basis(L: LieAlgebra, rng: Lcg) -> LieAlgebra:
-    """The same algebra written on a random unimodular basis."""
-    return change_of_basis(L, random_unimodular(L.dim, rng))
+    """The same algebra written on a random unimodular basis, in integers throughout."""
+    rows, inv = _unimodular(L.dim, rng)
+    return _transport(L, rows, (1, inv))
 
 
 def random_central_subspace(L: LieAlgebra, rng: Lcg,

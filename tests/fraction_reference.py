@@ -3,7 +3,8 @@
 The package computes on sparse integer brackets; these routines compute
 the same things the direct way, on ``LieAlgebra.table`` (the dense
 Fraction view) and dense Fraction vectors, so they share no code with
-what they check.  The dense-input adapters at the end (``integer_rows``,
+what they check; ``lower_central_terms`` reduces each term of the lower
+central series by Gauss-Jordan over Fractions (``reduced_rows``).  The dense-input adapters at the end (``integer_rows``,
 ``from_vectors``, ``row_space``, ``dense_rank``, ``contains``) are the
 other way round: they clear the denominators of dense Fraction vectors
 and hand them to the package's echelon kernel, so tests can state
@@ -130,6 +131,37 @@ def inverse(rows):
                 f = aug[r][c]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
     return [tuple(row[n:]) for row in aug]
+
+
+def reduced_rows(vectors):
+    """The nonzero rows of the reduced row echelon form of dense vectors, by Gauss-Jordan over Fractions."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    out = []
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in rows if r[c]), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        piv = [x / piv[c] for x in piv]
+        rows = [[a - r[c] * b for a, b in zip(r, piv)] if r[c] else r for r in rows]
+        out = [[a - r[c] * b for a, b in zip(r, piv)] if r[c] else r for r in out]
+        out.append(piv)
+    return [tuple(r) for r in out]
+
+
+def lower_central_terms(L):
+    """Reduced bases of L^1, L^2, ... down to the zero term, or to the term where the series stabilises.
+
+    Each term is spanned by the [v, e_j] for v in the basis of the last,
+    formed from the dense table.
+    """
+    terms = [reduced_rows(unit_vector(L.dim, i) for i in range(L.dim))]
+    while terms[-1]:
+        nxt = reduced_rows(w for v in terms[-1] for w in brackets_with_basis(L, v))
+        if len(nxt) == len(terms[-1]):
+            break
+        terms.append(nxt)
+    return terms
 
 
 def change_of_basis_table(L, p):

@@ -24,9 +24,16 @@ from liemult.liealg import (
 )
 from liemult.linalg import Matrix
 from liemult.multiplier import schur_multiplier_dim
-from liemult.randgen import Lcg, random_unimodular
+from liemult.randgen import Lcg, random_change_of_basis, random_unimodular
 
-from fraction_reference import bracket, brackets_with_basis, change_of_basis_table, clear_caches
+from fraction_reference import (
+    bracket,
+    brackets_with_basis,
+    change_of_basis_table,
+    clear_caches,
+    lower_central_terms,
+    reduced_rows,
+)
 
 
 def _filiform(n):
@@ -149,6 +156,45 @@ def test_perfect_algebra_series_stops_at_once():
         assert lcs_basis(alg)[1] == (1, 1, 1)
     rep = lower_central_series(NON_NILPOTENT["affine2"])
     assert (rep.lcs_dims, rep.nilpotency_class, rep.derived_dim) == ((2, 1), None, 1)
+
+
+def _non_nilpotent_cases():
+    """sl2, so(3), the 2-dim non-abelian algebra and sl2 + H(1), with base changes of each.
+
+    Their series stabilise above zero, so the walk's first step, the
+    echelon of the stored brackets, decides where it stops: at once for
+    the perfect sl2 and so(3), one term later for the others.
+    """
+    originals = {**NON_NILPOTENT, "sl2+H(1)": direct_sum(NON_NILPOTENT["sl2"], heisenberg(1).algebra)}
+    cases = []
+    for seed, (label, alg) in enumerate(sorted(originals.items()), 900):
+        n = alg.dim
+        rng = Lcg(seed)
+        cases.append(pytest.param(alg, id=label))
+        cases += [pytest.param(random_change_of_basis(alg, rng), id=f"{label}@seeded{t}")
+                  for t in range(3)]
+        u = random_unimodular(n, rng, steps=12 * n)
+        scale = [Fraction(rng.randint(1, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+        p = Matrix.from_rows([[s * x for x in row] for s, row in zip(scale, u.iter_rows())])
+        cases += [pytest.param(change_of_basis(alg, u), id=f"{label}@dense"),
+                  pytest.param(change_of_basis(alg, p), id=f"{label}@rational")]
+    return cases
+
+
+@pytest.mark.parametrize("alg", _non_nilpotent_cases())
+def test_non_nilpotent_series_and_flag_match_fraction_reference(alg):
+    n = alg.dim
+    terms = lower_central_terms(alg)
+    rep = lower_central_series(alg)
+    assert rep.lcs_dims == tuple(len(t) for t in terms)
+    assert rep.nilpotency_class is None
+
+    basis, weights = lcs_basis(alg)
+    rows = [_dense(n, v) for v in basis]
+    assert len(reduced_rows(rows)) == n
+    for a, b in combinations(range(n), 2):
+        term = terms[min(weights[a] + weights[b], len(terms)) - 1]
+        assert len(reduced_rows([*term, bracket(alg, rows[a], rows[b])])) == len(term)
 
 
 def _catalog_tables():
