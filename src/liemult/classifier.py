@@ -23,7 +23,7 @@ from .catalog import (
     FAMILY_L4524,
     FAMILY_L4524_PLUS_A1,
 )
-from .liealg import LieAlgebra, NotNilpotent, lower_central_series
+from .liealg import LieAlgebra, NotNilpotent, center, lower_central_series
 from .multiplier import schur_multiplier_dim
 
 
@@ -66,9 +66,6 @@ class GateResult:
     holds: bool
     fingerprint: Fingerprint
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 def fingerprint(L: LieAlgebra) -> Fingerprint:
     """All invariants the classification hypotheses mention, in one value."""
@@ -77,7 +74,7 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
     return Fingerprint(
         n=L.dim,
         derived_dim=series.derived_dim,
-        center_dim=series.center_dim,
+        center_dim=center(L).dim,
         nilpotency_class=series.nilpotency_class,
         lcs_dims=series.lcs_dims,
         dim_m=rep.dim_m,

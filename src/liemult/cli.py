@@ -29,6 +29,7 @@ from .liealg import (
     JacobiViolation,
     NotAnIdeal,
     NotNilpotent,
+    center,
     direct_sum,
     lower_central_series,
 )
@@ -47,7 +48,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     series = lower_central_series(alg)
     print(f"n={alg.dim}")
     print(f"dimL2={series.derived_dim}")
-    print(f"dimZ={series.center_dim}")
+    print(f"dimZ={center(alg).dim}")
     print(f"nilpotent={'yes' if series.is_nilpotent else 'no'}")
     if series.is_nilpotent:
         print(f"class={series.nilpotency_class}")

@@ -16,8 +16,8 @@ test: ``build``, the one constructor fed outside input, runs it on
 scans the original table only to name the first failing triple of an
 invalid one.  Algebras derived from valid ones (sums, quotients by
 ideals, base changes) are valid by construction, and the multiplier
-re-checks only ``lcs_adapted(L)``, the same transport, kept in a small
-private cache.
+re-checks only ``lcs_adapted(L)``, the same transport, which
+``lcs_adapted`` keeps in its own 32-entry cache.
 
 The Jacobi check, the center, the lower central series, the ideal test
 and the boundary maps of :mod:`liemult.multiplier` all read the stored
@@ -29,8 +29,9 @@ the test [L, S] ⊆ S, is echeloned by the exact fraction-free kernel of
 :mod:`liemult.linalg` that also computes ``linalg.rank``; L^2 is the
 echelon of the stored bracket vectors themselves.  The series is
 walked once per algebra, by the cached ``_series``, whose echelons give
-both the dimensions, dim L^2 among them, and ``lcs_basis``, a basis
-adapted to the flag L ⊃ L^2 ⊃ ... on which [L^i, L^j] ⊆ L^(i+j);
+both the dimensions, dim L^2 among them, that the uncached
+``lower_central_series`` reports, and ``lcs_basis``, a basis adapted to
+the flag L ⊃ L^2 ⊃ ... on which [L^i, L^j] ⊆ L^(i+j);
 ``lcs_adapted`` writes L on it, and :mod:`liemult.multiplier` ranks the
 complex there.  A quotient L/K comes from one reduced echelon of K's
 integer rows on that kernel, pivoting on each vector's largest index;
@@ -294,7 +295,6 @@ class SeriesReport:
     lcs_dims: tuple[int, ...]
     nilpotency_class: Optional[int]  # None when the series stalls above zero
     derived_dim: int
-    center_dim: int
 
     @property
     def is_nilpotent(self) -> bool:
@@ -340,26 +340,18 @@ def _series(L: LieAlgebra) -> tuple[tuple[dict[int, dict[int, int]], ...], bool]
     return tuple(terms), True
 
 
-@lru_cache(maxsize=None)
 def lower_central_series(L: LieAlgebra) -> SeriesReport:
     """Dims of L >= [L,L] >= [L,[L,L]] >= ... until zero or stabilization.
 
-    The dims are the sizes of the echelons of ``_series``; a perfect
-    algebra (L^2 = L) stabilises at once and has derived dim n.
+    Not cached: the dims are the sizes of the echelons of ``_series``;
+    a perfect algebra (L^2 = L) stabilises at once and has derived dim n.
     """
     terms, nilpotent = _series(L)
     return SeriesReport(
         (L.dim, *(len(t) for t in terms)),
         len(terms) if nilpotent else None,
-        _derived_dim(L),
-        center(L).dim,
+        len(terms[0]) if terms else L.dim,
     )
-
-
-def _derived_dim(L: LieAlgebra) -> int:
-    """dim L^2 from the echelons of ``_series``, for callers that need no center."""
-    terms, _ = _series(L)
-    return len(terms[0]) if terms else L.dim
 
 
 def lcs_basis(L: LieAlgebra) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
@@ -386,26 +378,21 @@ def lcs_basis(L: LieAlgebra) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
     return tuple(basis), tuple(weights)
 
 
+@lru_cache(maxsize=32)
 def lcs_adapted(L: LieAlgebra) -> LieAlgebra:
-    """L written on ``lcs_basis``, or L itself when each basis vector is a multiple of one e_c.
+    """L written on ``lcs_basis``, or L when each basis vector is a multiple of one e_c.
 
     On the adapted basis [L^i, L^j] lies in L^(i+j), so most structure
     constants are zero.  A basis of multiples of the e_c only reorders
     and rescales e_1..e_n, which keeps the zero pattern of the structure
     constants, so it is not transported; every catalog table and direct
     sum is in that case.  ``build`` and ``schur_multiplier_dim`` both
-    ask for it, so one transport per algebra is kept in a small cache.
+    ask for it, so the last 32 results are cached, and a hit may return
+    an equal copy of L in place of L itself.
     """
-    adapted = _adapted(L)
-    return L if adapted is None else adapted
-
-
-@lru_cache(maxsize=32)
-def _adapted(L: LieAlgebra) -> Optional[LieAlgebra]:
-    """``lcs_adapted(L)``, or None when it is L itself (the cache may hold an equal copy of L)."""
     basis, _ = lcs_basis(L)
     if all(len(v) == 1 for v in basis):
-        return None
+        return L
     rows = [[0] * L.dim for _ in basis]
     for row, v in zip(rows, basis):
         for c, x in v:
@@ -436,8 +423,6 @@ def quotient(L: LieAlgebra, k: Subspace) -> LieAlgebra:
     between complement vectors gives the quotient's brackets directly,
     in integers over denom times the lcm d of the pivot entries.
     """
-    if k.ambient_dim != L.dim:
-        raise AmbientMismatch(f"subspace ambient {k.ambient_dim} != dim {L.dim}")
     if not is_ideal(L, k):
         raise NotAnIdeal("quotient by a subspace that is not an ideal")
     top = L.dim - 1

@@ -240,7 +240,7 @@ def _inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[dict[int, int]]]:
     Row p of the inverse is the right half of the reduced vector of
     [Q | I] pivoting at p, divided by its pivot entry; the pivots are
     0..n-1 exactly when Q is invertible, and SingularMatrix is raised
-    otherwise.
+    otherwise.  R/d is in lowest terms: d = 1 for a unimodular Q.
     """
     n = len(rows)
     echelon = _echelon({**{c: x for c, x in enumerate(row) if x}, n + r: 1}
@@ -249,8 +249,10 @@ def _inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[dict[int, int]]]:
         raise SingularMatrix("matrix is singular")
     reduced = _back_substitute(echelon)
     d = lcm(*(v[p] for p, v in reduced.items()))
-    return d, [{c - n: x * (d // v[p]) for c, x in v.items() if c >= n}
-               for p, v in sorted(reduced.items())]
+    inv = [{c - n: x * (d // v[p]) for c, x in v.items() if c >= n}
+           for p, v in sorted(reduced.items())]
+    g = gcd(d, *(x for row in inv for x in row.values()))
+    return d // g, [{c: x // g for c, x in row.items()} for row in inv]
 
 
 def rank(m: SparseMatrix) -> int:

@@ -31,7 +31,6 @@ from typing import Optional
 from .liealg import (
     LieAlgebra,
     NotNilpotent,
-    _derived_dim,
     center,
     direct_sum,
     first_jacobi_violation,
@@ -150,7 +149,7 @@ def tensor_term_dim(h: LieAlgebra, k_dim: int) -> int:
     """dim of (H / H^2) tensored with an abelian ideal of dimension k_dim."""
     if k_dim < 0:
         raise ValueError("k_dim must be non-negative")
-    return (h.dim - _derived_dim(h)) * k_dim
+    return (h.dim - lower_central_series(h).derived_dim) * k_dim
 
 
 @dataclass(frozen=True)
@@ -164,15 +163,12 @@ class KunnethCheck:
     dim_m_right: int
     tensor_dim: int
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 def check_kunneth(l1: LieAlgebra, l2: LieAlgebra) -> KunnethCheck:
     lhs = schur_multiplier_dim(direct_sum(l1, l2)).dim_m
     m1 = schur_multiplier_dim(l1).dim_m
     m2 = schur_multiplier_dim(l2).dim_m
-    ten = tensor_term_dim(l1, l2.dim - _derived_dim(l2))
+    ten = tensor_term_dim(l1, l2.dim - lower_central_series(l2).derived_dim)
     rhs = m1 + m2 + ten
     return KunnethCheck(lhs == rhs, lhs, rhs, m1, m2, ten)
 
@@ -196,9 +192,6 @@ class QuotientBoundCheck:
     def rhs(self) -> int:
         return self.dim_m_quotient + self.dim_m_ideal + self.tensor_dim
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 def check_quotient_bound(L: LieAlgebra, k: Subspace) -> QuotientBoundCheck:
     """Evaluate the central-quotient inequality for a central ideal K.
@@ -219,7 +212,7 @@ def check_quotient_bound(L: LieAlgebra, k: Subspace) -> QuotientBoundCheck:
     m_total = schur_multiplier_dim(L).dim_m
     dk = k.dim
     spanned = len(_echelon([*(coeffs for _, _, coeffs in L.brackets), *k.rows]))
-    meet = _derived_dim(L) + dk - spanned
+    meet = lower_central_series(L).derived_dim + dk - spanned
     m_quot = schur_multiplier_dim(h).dim_m
     m_ideal = dk * (dk - 1) // 2
     ten = tensor_term_dim(h, dk)
@@ -248,9 +241,6 @@ class DefectBoundsCheck:
     derived_dim: int
     derived_bound: Optional[int]  # (n+k-2)(n-k-1)/2 + 1 for k = dim L^2 >= 1
     bound_ok: Optional[bool]
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 def check_defect_bounds(L: LieAlgebra) -> DefectBoundsCheck:

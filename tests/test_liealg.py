@@ -45,6 +45,7 @@ from fraction_reference import (
     bracket_basis,
     brackets_with_basis,
     change_of_basis_table,
+    clear_caches,
     derived_subalgebra,
     from_fractions,
     from_vectors,
@@ -210,6 +211,29 @@ def test_quotient_requires_ideal():
     h1 = heisenberg(1).algebra
     with pytest.raises(NotAnIdeal):
         quotient(h1, from_vectors(3, [[1, 0, 0]]))
+
+
+def test_wrong_ambient_raises_one_message():
+    from liemult.linalg import AmbientMismatch
+    from liemult.multiplier import check_quotient_bound
+
+    h1 = heisenberg(1).algebra
+    for fn in (quotient, is_ideal, check_quotient_bound):
+        with pytest.raises(AmbientMismatch) as exc:
+            fn(h1, Subspace.zero(2))
+        assert str(exc.value) == "subspace ambient 2 != dim 3"
+
+
+def test_lower_central_series_computes_no_center():
+    from liemult.verify import build_population
+
+    population = build_population(4, 3, 1)
+    sample = [c.algebra for c in population[::9]]
+    assert len(sample) > 50
+    clear_caches()
+    for alg in sample:
+        lower_central_series(alg)
+    assert center.cache_info().misses == 0
 
 
 def test_direct_sum_examples():
@@ -642,7 +666,7 @@ def test_structure_of_abelian_4000_stays_linear_in_memory():
 
     n = 4000
     alg = abelian(n).algebra
-    for fn in (center.__wrapped__, lower_central_series.__wrapped__):
+    for fn in (center.__wrapped__, liealg._series.__wrapped__):
         tracemalloc.start()
         try:
             fn(alg)
