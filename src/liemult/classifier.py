@@ -61,12 +61,6 @@ class ClassificationResult:
     fingerprint: Fingerprint
 
 
-@dataclass(frozen=True)
-class GateResult:
-    holds: bool
-    fingerprint: Fingerprint
-
-
 def fingerprint(L: LieAlgebra) -> Fingerprint:
     """All invariants the classification hypotheses mention, in one value."""
     series = lower_central_series(L)
@@ -151,11 +145,3 @@ def _violation(fp: Fingerprint, why: str) -> ClassificationResult:
         Status.THEOREM_VIOLATION, None, (), fp.s, why, fp
     )
 
-
-def lemma_l1_gate(L: LieAlgebra) -> GateResult:
-    """Assert no nilpotent algebra has s = 2 together with dim L^2 >= 3."""
-    series = lower_central_series(L)
-    if not series.is_nilpotent:
-        raise NotNilpotent("gate applies to nilpotent algebras")
-    fp = fingerprint(L)
-    return GateResult(not (fp.s == 2 and fp.derived_dim >= 3), fp)

@@ -196,11 +196,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError) as exc:
-        # unreadable input: missing, a directory, no permission, not UTF-8
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
-    except LieconstSyntaxError as exc:
+    except (OSError, UnicodeDecodeError, LieconstSyntaxError) as exc:
+        # malformed, or unreadable: missing, a directory, no permission, not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
     except (JacobiViolation, DuplicateBracket, IndexOutOfRange) as exc:

@@ -234,13 +234,10 @@ class DefectBoundsCheck:
     n: int
     dim_m: int
     t: int
-    t_ok: bool
     abelian: bool
     s: Optional[int]          # None when abelian (claim out of scope there)
-    s_ok: Optional[bool]
     derived_dim: int
     derived_bound: Optional[int]  # (n+k-2)(n-k-1)/2 + 1 for k = dim L^2 >= 1
-    bound_ok: Optional[bool]
 
 
 def check_defect_bounds(L: LieAlgebra) -> DefectBoundsCheck:
@@ -251,25 +248,14 @@ def check_defect_bounds(L: LieAlgebra) -> DefectBoundsCheck:
     rep = schur_multiplier_dim(L)
     k = series.derived_dim
     abelian = k == 0
-    t_ok = rep.t >= 0
-    s: Optional[int] = None if abelian else rep.s
-    s_ok: Optional[bool] = None if abelian else rep.s >= 0
-    derived_bound: Optional[int] = None
-    bound_ok: Optional[bool] = None
-    if k >= 1:
-        derived_bound = (rep.n + k - 2) * (rep.n - k - 1) // 2 + 1
-        bound_ok = rep.dim_m <= derived_bound
-    holds = t_ok and s_ok is not False and bound_ok is not False
+    derived_bound = None if abelian else (rep.n + k - 2) * (rep.n - k - 1) // 2 + 1
     return DefectBoundsCheck(
-        holds=holds,
+        holds=rep.t >= 0 and (abelian or (rep.s >= 0 and rep.dim_m <= derived_bound)),
         n=rep.n,
         dim_m=rep.dim_m,
         t=rep.t,
-        t_ok=t_ok,
         abelian=abelian,
-        s=s,
-        s_ok=s_ok,
+        s=None if abelian else rep.s,
         derived_dim=k,
         derived_bound=derived_bound,
-        bound_ok=bound_ok,
     )

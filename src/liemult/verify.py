@@ -15,8 +15,8 @@ from inspect import signature
 from typing import Callable
 
 from . import catalog
-from .classifier import Status, classify, lemma_l1_gate
-from .liealg import LieAlgebra, center, direct_sum, lower_central_series
+from .classifier import AbelianAlgebra, Status, classify
+from .liealg import LieAlgebra, NotNilpotent, center, direct_sum
 from .linalg import Subspace, _echelon, _span
 from .multiplier import (
     check_defect_bounds,
@@ -151,7 +151,9 @@ def run_formulas(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K) -> Suit
 
 def run_bounds(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
                seed: int = DEFAULT_SEED) -> SuiteReport:
-    """Defect bounds and the s=2 derived-dimension gate over the population."""
+    """Per population case, from one :func:`check_defect_bounds` record:
+    t >= 0, t = 0 iff abelian, s >= 0, the dim-L^2 bound, and the Lemma
+    (s = 2 implies dim L^2 <= 2)."""
     population = build_population(max_m, max_k, seed)
     # the 500-case floor is pinned to the default caps; smaller sweeps
     # are legitimate but cannot satisfy it
@@ -159,16 +161,15 @@ def run_bounds(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
     results = [_case("population-size", len(population) >= required,
                      f"cases={len(population)} required>={required}")]
     for case in population:
-        L = case.algebra
-        dbc = check_defect_bounds(L)
-        gate = lemma_l1_gate(L)
+        dbc = check_defect_bounds(case.algebra)
         t_iff = (dbc.t == 0) == dbc.abelian
-        ok = dbc.holds and gate.holds and t_iff
+        lemma = not (dbc.s == 2 and dbc.derived_dim >= 3)
+        ok = dbc.holds and lemma and t_iff
         detail = (f"n={dbc.n} dimM={dbc.dim_m} t={dbc.t} s={dbc.s}"
                   f" k={dbc.derived_dim} bound={dbc.derived_bound}")
         if not t_iff:
             detail += " [t=0 abelian equivalence fails]"
-        if not gate.holds:
+        if not lemma:
             detail += " [s=2 with dim L^2 >= 3]"
         results.append(_case(f"bounds[{case.case_id}]", ok, detail))
     return _report("bounds", results)
@@ -286,17 +287,16 @@ def run_classification(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
             results.append(_case(f"mt-stability[{label},{trial}]", ok, detail))
 
     for case in build_population(max_m, max_k, seed):
-        L = case.algebra
-        series = lower_central_series(L)
-        if not series.is_nilpotent:
+        try:
+            res = classify(case.algebra)
+        except NotNilpotent:
             results.append(_case(f"classify-sweep[{case.case_id}]", True,
                                  "skipped: not nilpotent"))
             continue
-        if series.derived_dim == 0:
+        except AbelianAlgebra:
             results.append(_case(f"classify-sweep[{case.case_id}]", True,
                                  "skipped: abelian"))
             continue
-        res = classify(L)
         fp = res.fingerprint
         ok = res.status is not Status.THEOREM_VIOLATION
         if fp.s in (0, 1, 2):

@@ -1,4 +1,4 @@
-"""Fingerprints, the s-classification and the s=2 derived-dimension gate."""
+"""Fingerprints and the s-classification."""
 
 import pytest
 
@@ -13,14 +13,12 @@ from liemult.catalog import (
     l4524_plus_a1,
     l_3_4_1_4,
     l_4_5_2_4,
-    standard_entries,
 )
 from liemult.classifier import (
     AbelianAlgebra,
     Status,
     classify,
     fingerprint,
-    lemma_l1_gate,
 )
 from liemult.liealg import NotNilpotent, build, direct_sum
 from liemult.randgen import Lcg, random_change_of_basis
@@ -106,23 +104,3 @@ def test_classify_invariant_under_basis_change():
             assert res.status is Status.CLASSIFIED
             assert res.family == family
             assert res.params == params
-
-
-def test_lemma_l1_gate_on_catalog():
-    for e in standard_entries(3, 3):
-        gate = lemma_l1_gate(e.algebra)
-        assert gate.holds, e.label
-
-
-def test_lemma_l1_gate_hypothesis_not_triggered():
-    # L3414 has s = 2 with dim L^2 = 2 < 3: the gate passes
-    gate = lemma_l1_gate(l_3_4_1_4().algebra)
-    assert gate.holds
-    assert gate.fingerprint.s == 2
-    assert gate.fingerprint.derived_dim == 2
-
-
-def test_lemma_l1_gate_requires_nilpotent():
-    cross = build(3, [(1, 2, [0, 0, 1]), (1, 3, [0, -1, 0]), (2, 3, [1, 0, 0])])
-    with pytest.raises(NotNilpotent):
-        lemma_l1_gate(cross)

@@ -170,7 +170,7 @@ def test_defect_bounds_examples():
     chk = check_defect_bounds(heisenberg_plus_abelian(1, 2).algebra)
     assert chk.holds and chk.s == 0
     chk = check_defect_bounds(l_3_4_1_4().algebra)
-    assert chk.holds
+    assert chk.holds and chk.s == 2 and chk.derived_dim == 2
     assert chk.derived_bound == 3 and chk.dim_m == 2
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from liemult import liealg, verify
+from liemult.multiplier import DefectBoundsCheck
 from liemult.randgen import Lcg
 from liemult.verify import (
     SUITES,
@@ -74,8 +76,31 @@ def test_unknown_suite_rejected():
 def test_quotient_suite_computes_no_center_of_a_quotient():
     # the abelianization tensor term reads dim L^2 from the series walk,
     # so only the algebras whose central ideals are drawn need a center
-    from liemult import liealg
-
     clear_caches()
     assert run_suite("quotient").passed
     assert liealg.center.cache_info().misses == 24
+
+
+def test_bounds_suite_computes_no_center():
+    # s, dim L^2 and the Lemma come from the series walk and the
+    # multiplier; only the population's central quotients need a center
+    build_population(4, 3, 7)
+    liealg.center.cache_clear()
+    assert run_suite("bounds").passed
+    assert liealg.center.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("fields, marker", [
+    ({"t": 1, "s": 2, "derived_dim": 3}, " [s=2 with dim L^2 >= 3]"),
+    ({"t": 0, "s": 0, "derived_dim": 1}, " [t=0 abelian equivalence fails]"),
+])
+def test_bounds_suite_marks_failures(monkeypatch, fields, marker):
+    # no real algebra reaches these paths, so feed every case one record
+    record = DefectBoundsCheck(holds=True, n=6, dim_m=5, abelian=False,
+                               derived_bound=9, **fields)
+    monkeypatch.setattr(verify, "check_defect_bounds", lambda L: record)
+    report = run_suite("bounds", max_m=2, max_k=1, seed=7)
+    cases = [r for r in report.results if r.case_id.startswith("bounds[")]
+    assert cases
+    assert all(not r.ok and r.detail.endswith(marker) for r in cases)
+    assert report.lines()[-1] == "result=fail"
