@@ -16,15 +16,17 @@ test: ``build``, the one constructor fed outside input, runs it on
 scans the original table only to name the first failing triple of an
 invalid one.  Algebras derived from valid ones (sums, quotients by
 ideals, base changes) are valid by construction, and the multiplier
-re-checks only ``lcs_adapted(L)``, the same transport, which
-``lcs_adapted`` keeps in its own 32-entry cache.
+re-checks only ``lcs_adapted(L)``.  ``center`` takes its kernel there
+too, so a request shares the one transport, which ``lcs_adapted`` keeps
+in its own 32-entry cache.
 
 The Jacobi check, the center, the lower central series, the ideal test
 and the boundary maps of :mod:`liemult.multiplier` all read the stored
 integer brackets.  The Jacobi check sums each stored bracket's
 contribution into its sorted triple, so its cost grows with the nonzero
-structure constants.  The center is the kernel of the stacked adjoint,
-built as sparse integer rows; each term of the lower central series, and
+structure constants.  The center is the kernel of the stacked adjoint
+of the adapted table, built as sparse integer rows and mapped back
+through ``lcs_basis``; each term of the lower central series, and
 the test [L, S] ⊆ S, is echeloned by the exact fraction-free kernel of
 :mod:`liemult.linalg` that also computes ``linalg.rank``; L^2 is the
 echelon of the stored bracket vectors themselves.  The series is
@@ -60,6 +62,7 @@ from .linalg import (
     _echelon,
     _inverse,
     _kernel,
+    _span,
     rat,
 )
 
@@ -272,20 +275,37 @@ def first_jacobi_violation(
 
 @lru_cache(maxsize=None)
 def center(L: LieAlgebra) -> Subspace:
-    """{ x : [x, e_j] = 0 for all j }, as the kernel of the stacked adjoint.
+    """{ x : [x, e_j] = 0 for all j }, as the kernel of the stacked adjoint of ``lcs_adapted(L)``.
 
     Row (j, t) of the stacked adjoint holds, at index m, the integer
-    coefficient of e_t in [e_m, e_j]; only nonzero brackets give entries.
+    coefficient of e_t in [e_m, e_j]; only nonzero brackets give entries,
+    and the adapted table has far fewer.  A kernel row z there is the
+    element sum_a z_a f_a of L, f_a the a-th vector of ``lcs_basis(L)``.
+    An adapted table equal to L has L's own kernel.  The test is ``==``,
+    not ``is``: a cache hit of ``lcs_adapted`` may return an equal copy
+    of an untransported L, whose ``lcs_basis`` can still permute the e_c.
     """
     n = L.dim
     if L.is_abelian:
         return Subspace.full(n)
+    adapted = lcs_adapted(L)
     rows: dict[tuple[int, int], dict[int, int]] = {}
-    for i, j, coeffs in L.brackets:
+    for i, j, coeffs in adapted.brackets:
         for t, x in coeffs:
             rows.setdefault((j, t), {})[i] = x
             rows.setdefault((i, t), {})[j] = -x
-    return _kernel(n, rows.values())
+    kernel = _kernel(n, rows.values())
+    if adapted == L:
+        return kernel
+    basis, _ = lcs_basis(L)
+    out = []
+    for z in kernel.rows:
+        acc: dict[int, int] = {}
+        for a, x in z:
+            for c, y in basis[a]:
+                acc[c] = acc.get(c, 0) + x * y
+        out.append({c: y for c, y in acc.items() if y})
+    return _span(n, out)
 
 
 @dataclass(frozen=True)
@@ -386,9 +406,9 @@ def lcs_adapted(L: LieAlgebra) -> LieAlgebra:
     constants are zero.  A basis of multiples of the e_c only reorders
     and rescales e_1..e_n, which keeps the zero pattern of the structure
     constants, so it is not transported; every catalog table and direct
-    sum is in that case.  ``build`` and ``schur_multiplier_dim`` both
-    ask for it, so the last 32 results are cached, and a hit may return
-    an equal copy of L in place of L itself.
+    sum is in that case.  ``build``, ``center`` and
+    ``schur_multiplier_dim`` all ask for it, so the last 32 results are
+    cached, and a hit may return an equal copy of L in place of L itself.
     """
     basis, _ = lcs_basis(L)
     if all(len(v) == 1 for v in basis):

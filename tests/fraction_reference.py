@@ -13,6 +13,9 @@ subspaces and matrices densely; ``basis_rows`` and ``at`` read a
 answers subspace questions with echelon sizes and never forms L^2 or a
 sum of subspaces; ``derived_subalgebra`` and ``subspace_sum`` span them
 on the same kernel, for tests that need those subspaces as values.
+``table_center`` takes the center on L's own table, as the kernel, on
+the same echelon kernel, of its stacked adjoint (``stacked_adjoint``);
+the package takes it on the adapted table and maps it back.
 ``vector`` writes a dense Fraction vector from ints, strings or
 Fractions.  ``clear_caches`` empties the package's functools caches, so
 that a test can count what one cold request computes.
@@ -24,7 +27,7 @@ from functools import lru_cache
 from math import lcm
 
 from liemult.liealg import _make
-from liemult.linalg import AmbientMismatch, SingularMatrix, _echelon, _span, rat
+from liemult.linalg import AmbientMismatch, SingularMatrix, Subspace, _echelon, _kernel, _span, rat
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -235,6 +238,23 @@ def derived_subalgebra(L):
 def subspace_sum(a, b):
     """Canonical A + B, spanned by both sets of reduced rows."""
     return _span(a.ambient_dim, a.rows + b.rows)
+
+
+def stacked_adjoint(L):
+    """Rows (j, t) of the stacked adjoint: at index m, the integer coefficient of e_t in [e_m, e_j]."""
+    rows = {}
+    for i, j, coeffs in L.brackets:
+        for t, x in coeffs:
+            rows.setdefault((j, t), {})[i] = x
+            rows.setdefault((i, t), {})[j] = -x
+    return list(rows.values())
+
+
+def table_center(L):
+    """{ x : [x, e_j] = 0 for all j }, the kernel of the stacked adjoint of L's own table."""
+    if L.is_abelian:
+        return Subspace.full(L.dim)
+    return _kernel(L.dim, stacked_adjoint(L))
 
 
 def clear_caches():

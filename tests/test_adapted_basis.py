@@ -4,7 +4,8 @@
 tests check that the adapted table has the same ranks of d2 and d3 as
 the original (sympy over QQ, on boundaries built here from the dense
 table), that the basis is adapted, and that catalog tables skip the
-transport.
+transport.  ``center`` takes its kernel on the adapted table too; it is
+checked against ``table_center``, the kernel on the original table.
 """
 
 from fractions import Fraction
@@ -13,9 +14,10 @@ from itertools import combinations
 import pytest
 
 from liemult import liealg
-from liemult.catalog import heisenberg, heisenberg_plus_abelian, standard_entries
+from liemult.catalog import heisenberg, heisenberg_plus_abelian, l_4_5_2_4, standard_entries
 from liemult.liealg import (
     build,
+    center,
     change_of_basis,
     direct_sum,
     lcs_adapted,
@@ -25,6 +27,7 @@ from liemult.liealg import (
 from liemult.linalg import Matrix
 from liemult.multiplier import schur_multiplier_dim
 from liemult.randgen import Lcg, random_change_of_basis, random_unimodular
+from liemult.verify import build_population
 
 from fraction_reference import (
     bracket,
@@ -33,6 +36,8 @@ from fraction_reference import (
     clear_caches,
     lower_central_terms,
     reduced_rows,
+    stacked_adjoint,
+    table_center,
 )
 
 
@@ -249,3 +254,59 @@ def test_classify_request_transports_a_dense_table_once(monkeypatch, tmp_path, c
     assert main(["classify", str(path)]) == 0
     assert "status=" in capsys.readouterr().out
     assert calls == [moved]
+
+
+def test_center_of_an_equal_copy_reads_its_own_basis():
+    # [e2,e3] = e1: lcs_basis is e2, e3, e1, a permutation, so the table
+    # is not transported; a second, equal object then gets the first one
+    # back from lcs_adapted's cache, and its center must stay span(e1)
+    lcs_adapted.cache_clear()
+    first = build(3, [(2, 3, {1: 1})])
+    second = build(3, [(2, 3, {1: 1})])
+    assert first == second and first is not second
+    assert lcs_adapted(second) is first
+    assert lcs_basis(second)[0] == (((1, 1),), ((2, 1),), ((0, 1),))
+    center.cache_clear()
+    assert center(second).rows == (((0, 1),),)
+
+
+def _dense_base_changes():
+    cases = []
+    for seed, (label, alg) in enumerate([("H(3)", heisenberg(3).algebra),
+                                         ("filiform(8)", _filiform(8)),
+                                         ("L4524", l_4_5_2_4().algebra)], 1100):
+        rng = Lcg(seed)
+        n = alg.dim
+        cases += [pytest.param(change_of_basis(alg, random_unimodular(n, rng, steps=12 * n)),
+                               id=f"{label}@dense{t}") for t in range(3)]
+    return cases
+
+
+def _center_cases():
+    population = [pytest.param(c.algebra, id=c.case_id) for c in build_population(4, 3, 7)]
+    return population + _non_nilpotent_cases() + _dense_base_changes()
+
+
+@pytest.mark.parametrize("alg", _center_cases())
+def test_center_matches_the_kernel_on_the_original_table(alg):
+    center.cache_clear()
+    assert center(alg) == table_center(alg)
+
+
+@pytest.mark.parametrize("alg", _dense_base_changes())
+def test_center_takes_the_kernel_on_the_adapted_table(monkeypatch, alg):
+    adapted = lcs_adapted(alg)
+    assert adapted != alg
+    seen = []
+    kernel = liealg._kernel
+
+    def recorded(n, vectors):
+        vectors = list(vectors)
+        seen.append(vectors)
+        return kernel(n, vectors)
+
+    monkeypatch.setattr(liealg, "_kernel", recorded)
+    center.cache_clear()
+    assert center(alg) == table_center(alg)
+    assert seen == [stacked_adjoint(adapted)]
+    assert stacked_adjoint(adapted) != stacked_adjoint(alg)
