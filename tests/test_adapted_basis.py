@@ -6,6 +6,9 @@ the original (sympy over QQ, on boundaries built here from the dense
 table), that the basis is adapted, and that catalog tables skip the
 transport.  ``center`` takes its kernel on the adapted table too; it is
 checked against ``table_center``, the kernel on the original table.
+The series walk brackets only with the generators of L/L^2: the tests
+count the vectors it passes to the echelon kernel, and check that its
+certificate rejects the non-nilpotent algebras whose walk reaches 0.
 """
 
 from fractions import Fraction
@@ -14,7 +17,7 @@ from itertools import combinations
 import pytest
 
 from liemult import liealg
-from liemult.catalog import heisenberg, heisenberg_plus_abelian, l_4_5_2_4, standard_entries
+from liemult.catalog import abelian, heisenberg, heisenberg_plus_abelian, l_4_5_2_4, standard_entries
 from liemult.liealg import (
     build,
     center,
@@ -163,14 +166,26 @@ def test_perfect_algebra_series_stops_at_once():
     assert (rep.lcs_dims, rep.nilpotency_class, rep.derived_dim) == ((2, 1), None, 1)
 
 
-def _non_nilpotent_cases():
-    """sl2, so(3), the 2-dim non-abelian algebra and sl2 + H(1), with base changes of each.
+def _non_nilpotent_originals():
+    """sl2, so(3), the 2-dim non-abelian algebra, sl2 + H(1), sl2 + A(1) and so(3) + A(2).
 
     Their series stabilise above zero, so the walk's first step, the
     echelon of the stored brackets, decides where it stops: at once for
-    the perfect sl2 and so(3), one term later for the others.
+    the perfect sl2 and so(3), one term later for the others.  On
+    sl2 + A(1) and so(3) + A(2) the generators are the abelian summand,
+    whose brackets vanish, so the walk over them reaches 0 and only the
+    certificate sends ``_series`` on to the walk over every e_t.
     """
-    originals = {**NON_NILPOTENT, "sl2+H(1)": direct_sum(NON_NILPOTENT["sl2"], heisenberg(1).algebra)}
+    sl2, so3 = NON_NILPOTENT["sl2"], NON_NILPOTENT["so3"]
+    return {**NON_NILPOTENT,
+            "sl2+H(1)": direct_sum(sl2, heisenberg(1).algebra),
+            "sl2+A(1)": direct_sum(sl2, abelian(1).algebra),
+            "so3+A(2)": direct_sum(so3, abelian(2).algebra)}
+
+
+def _non_nilpotent_cases():
+    """Each non-nilpotent original with seeded, dense and rational base changes of it."""
+    originals = _non_nilpotent_originals()
     cases = []
     for seed, (label, alg) in enumerate(sorted(originals.items()), 900):
         n = alg.dim
@@ -200,6 +215,86 @@ def test_non_nilpotent_series_and_flag_match_fraction_reference(alg):
     for a, b in combinations(range(n), 2):
         term = terms[min(weights[a] + weights[b], len(terms)) - 1]
         assert len(reduced_rows([*term, bracket(alg, rows[a], rows[b])])) == len(term)
+
+
+def _strictly_upper(k):
+    """The strictly upper triangular k x k matrices, on the E_ij with i < j in lex order."""
+    units = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    index = {u: c for c, u in enumerate(units, 1)}
+    return build(len(units), [(index[a], index[b], {index[(a[0], b[1])]: 1})
+                              for a, b in combinations(units, 2) if a[1] == b[0]])
+
+
+def test_certificate_decides_the_generator_walks_that_reach_zero(monkeypatch):
+    verdicts = []
+    certified = liealg._certified
+
+    def recorded(images, terms):
+        verdicts.append(certified(images, terms))
+        return verdicts[-1]
+
+    monkeypatch.setattr(liealg, "_certified", recorded)
+    originals = _non_nilpotent_originals()
+    for label, dims in (("sl2+A(1)", (4, 3)), ("so3+A(2)", (5, 3))):
+        verdicts.clear()
+        liealg._series.cache_clear()
+        rep = lower_central_series(originals[label])
+        assert (rep.lcs_dims, rep.nilpotency_class) == (dims, None)
+        assert verdicts == [False]
+
+    # [L^2, L^2] != 0 here, so the check sums nonzero brackets into T_4
+    upper = _strictly_upper(5)
+    for alg in (upper, change_of_basis(upper, random_unimodular(10, Lcg(4), steps=120))):
+        verdicts.clear()
+        liealg._series.cache_clear()
+        rep = lower_central_series(alg)
+        assert rep.lcs_dims == tuple(len(t) for t in lower_central_terms(alg)) == (10, 6, 3, 1, 0)
+        assert verdicts == [True]
+
+
+def _echelon_inputs(monkeypatch, alg):
+    """The vectors a cold ``_series(alg)`` passes to ``liealg._echelon``, one list per call."""
+    seen = []
+    echelon = liealg._echelon
+
+    def recorded(vectors):
+        vectors = list(vectors)
+        seen.append(vectors)
+        return echelon(vectors)
+
+    monkeypatch.setattr(liealg, "_echelon", recorded)
+    liealg._series.cache_clear()
+    liealg._series(alg)
+    monkeypatch.setattr(liealg, "_echelon", echelon)
+    return seen
+
+
+def _moved_filiforms():
+    return [change_of_basis(_filiform(n), random_unimodular(n, Lcg(3), steps=12 * n))
+            for n in (8, 10)]
+
+
+def test_series_walk_brackets_only_with_the_generators(monkeypatch):
+    # C(n,2) stored brackets for L^2, |C| brackets per vector of each
+    # later term, and at most twice the terms' sizes for the certificate;
+    # the walk over every e_t passes 168 and 342 vectors here
+    for alg, bound in zip(_moved_filiforms(), (112, 189)):
+        n = alg.dim
+        rep = lower_central_series(alg)
+        derived = rep.derived_dim
+        assert bound == n * (n - 1) // 2 + (n - derived + 2) * sum(rep.lcs_dims[1:])
+        assert sum(map(len, _echelon_inputs(monkeypatch, alg))) <= bound
+
+
+def test_series_passes_no_explicit_zero_to_the_echelon(monkeypatch):
+    # the certificate's sums cancel entries, and the kernel would keep a zero
+    cases = [(f"filiform({alg.dim})@lcg3", alg) for alg in _moved_filiforms()]
+    cases += [(c.case_id, c.algebra) for c in build_population(4, 3, 7)]
+    cases += [(case.id, case.values[0]) for case in _non_nilpotent_cases()]
+    for label, alg in cases:
+        for vectors in _echelon_inputs(monkeypatch, alg):
+            for v in vectors:
+                assert all(x for _, x in (v.items() if isinstance(v, dict) else v)), label
 
 
 def _catalog_tables():

@@ -469,6 +469,10 @@ def _filiform(n):
     return build(n, [(1, k, e(n, k + 1)) for k in range(2, n)])
 
 
+_SL2 = build(3, [(1, 2, e(3, 3)), (1, 3, [-2, 0, 0]), (2, 3, [0, 2, 0])])
+_SO3 = build(3, [(1, 2, e(3, 3)), (1, 3, [0, -1, 0]), (2, 3, e(3, 1))])
+
+
 def test_lower_central_series_matches_fraction_reference():
     sympy = pytest.importorskip("sympy")
     rng = Lcg(42)
@@ -477,6 +481,9 @@ def test_lower_central_series_matches_fraction_reference():
         build(2, [(1, 2, e(2, 2))]),
         _filiform(7),
         direct_sum(_filiform(5), build(2, [(1, 2, e(2, 2))])),
+        # the walk over the generators e4, resp. e4 and e5, reaches 0 at once
+        direct_sum(_SL2, abelian(1).algebra),
+        direct_sum(_SO3, abelian(2).algebra),
     ]
     for alg in _SMALL_CATALOG + [_filiform(6)]:
         n = alg.dim
@@ -489,12 +496,15 @@ def test_lower_central_series_matches_fraction_reference():
             q = random_central_quotient(alg, rng)
             if q is not None:
                 algebras.append(q)
+    for alg in (_filiform(8), l4524_plus_a1().algebra):
+        n = alg.dim
+        algebras.append(change_of_basis(alg, random_unimodular(n, rng, steps=12 * n)))
     stalled = 0
     for alg in algebras:
         dims = lower_central_series(alg).lcs_dims
         assert dims == _reference_lcs_dims(sympy, alg)
         stalled += dims[-1] != 0
-    assert stalled == 3
+    assert stalled == 5
 
 
 def _base_changes(rng):
