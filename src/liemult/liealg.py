@@ -30,11 +30,11 @@ through ``lcs_basis``; each term of the lower central series, and
 the test [L, S] ⊆ S, is echeloned by the exact fraction-free kernel of
 :mod:`liemult.linalg` that also computes ``linalg.rank``; L^2 is the
 echelon of the stored bracket vectors themselves.  Past L^2 the walk
-brackets only with the generators, the e_c off L^2's pivots, as a
-nilpotent algebra is generated by any complement of L^2; one check of
-the brackets of weight-2 vectors certifies the terms it finds, and an
-algebra that fails it is not nilpotent and is walked again with every
-e_t.  The series is walked once per algebra, by the cached
+brackets only with C, the e_c off L^2's pivots, as a nilpotent
+algebra is generated by any complement of L^2; the terms it finds are
+the series exactly when L^2 = [C, C] + [L^2, C], one echelon size, and
+an algebra that fails that test is not nilpotent and is walked again
+with every e_t.  The series is walked once per algebra, by the cached
 ``_series``, whose echelons give both the dimensions, dim L^2 among
 them, that the uncached ``lower_central_series`` reports, and
 ``lcs_basis``, a basis adapted to the flag L ⊃ L^2 ⊃ ... on which
@@ -350,37 +350,30 @@ def _series(L: LieAlgebra) -> tuple[tuple[dict[int, dict[int, int]], ...], bool]
     """Echelons of the distinct terms L^2, L^3, ..., and whether the series reached 0.
 
     L^2 is the echelon of the stored bracket vectors, each bracket once.
-    A nilpotent L is generated by any complement of L^2, so the walk
-    first brackets only with the generators C, the e_c whose index c is
-    not a pivot of L^2: T_2 = L^2 and T_(k+1) is the echelon of the
-    [v, e_t] for v in T_k's echelon and t in C, formed in integers from
-    the stored brackets.  These terms only shrink, T_(k+1) ⊆ T_k, with
-    or without the Jacobi identity, since T_3 = [T_2, C] ⊆ L^2.  Once
-    they reach 0, ``_certified`` checks them: for each weight-2 vector
-    w of the adapted basis and each basis vector u of weight j >= 2,
-    [w, u] lies in T_(j+2).  That suffices, by the Jacobi identity:
+    The walk first brackets only with C, the e_c whose index c is not a
+    pivot of L^2: T_2 = L^2 and T_(k+1) is the echelon of the [v, e_t]
+    for v in T_k's echelon and t in C, formed in integers from the
+    stored brackets.  These terms only shrink, T_(k+1) ⊆ T_k, with or
+    without the Jacobi identity, since T_3 = [T_2, C] ⊆ L^2.  Once they
+    reach 0, ``_generated`` tests L^2 = [C, C] + T_3, which decides
+    whether the T_k are the lower central series:
 
-    - As T_j is spanned by the basis vectors of weight >= j and
-      T_2 = span(weight 2) + T_3, the check and Jacobi give, for
-      X = [T_2, T_j], X ⊆ T_(j+2) + [T_2, T_(j+1)] + [C, X].  By
-      descending induction on j, [T_2, T_(j+1)] ⊆ T_(j+3), so
-      X ⊆ T_(j+2) + [C, X]; substituting this into itself m times gives
-      X ⊆ T_(j+2) + T_(m+2), as X ⊆ T_2, and T_(m+2) = 0 for large m.
-    - So [L, T_j] = [C, T_j] + [T_2, T_j] ⊆ T_(j+1), hence L^k ⊆ T_k
-      ⊆ L^k for every k: the T_k are the lower central series.
+    - Substituting T_k = [T_(k-1), C] into L^2 = [C, C] + T_3 until the
+      zero term puts L^2 inside the subalgebra generated by C, so C
+      generates L.  This step needs no Jacobi identity.
+    - In an algebra generated by C, L^(k+1) = [L^k, C], as left-normed
+      brackets of length >= k span L^k; so T_k = L^k for every k.
+    - Conversely, a nilpotent L passes: C generates it, so T_3 = L^3,
+      and [L^2, L^2] ⊆ L^3.
 
-    If the generator walk stalls above zero or the check fails, L is
-    not nilpotent, and the same loop walks again from L^2 with every
-    e_t.  A walk stops at the zero term, which is then the last
-    echelon, or when a term's echelon has the size of the previous one:
-    the series has stabilised above zero, and that repeated term is
-    left out.
+    If the generator walk stalls above zero or the test fails, L is not
+    nilpotent, and the same loop walks again from L^2 with every e_t.
+    A walk stops at the zero term, which is then the last echelon, or
+    when a term's echelon has the size of the previous one: the series
+    has stabilised above zero, and that repeated term is left out.
     """
     ad = _adjoint(L.dim, L.brackets)
     derived = _echelon(coeffs for _, _, coeffs in L.brackets)
-    # [w, e_t] for each echelon vector w of L^2 and every t, formed once:
-    # the certificate reads them, and both walks take L^3 from them
-    images = {p: _integer_brackets(ad, w.items()) for p, w in derived.items()}
     # the generator walk skips the e_t on L^2's pivots, the second walk none
     for skip in (derived, ()):
         terms: list[dict[int, dict[int, int]]] = []
@@ -388,51 +381,23 @@ def _series(L: LieAlgebra) -> tuple[tuple[dict[int, dict[int, int]], ...], bool]
         while size and len(nxt) < size:
             terms.append(nxt)
             size = len(nxt)
-            found = (images.values() if nxt is derived else
-                     (_integer_brackets(ad, v.items(), skip) for v in nxt.values()))
-            nxt = _echelon(w for b in found for t, w in b.items() if t not in skip)
-        if not size and (skip is not derived or _certified(images, terms)):
+            nxt = _echelon(w for v in nxt.values()
+                           for w in _integer_brackets(ad, v.items(), skip).values())
+        if not size and (skip is not derived or _generated(L, derived, terms)):
             return tuple(terms), True
     return tuple(terms), False
 
 
-def _certified(images: Mapping[int, dict[int, dict[int, int]]],
+def _generated(L: LieAlgebra, derived: dict[int, dict[int, int]],
                terms: Sequence[dict[int, dict[int, int]]]) -> bool:
-    """Whether [w, u] lies in T_(j+2) for each weight-2 w and each u of weight j >= 2.
+    """Whether L^2 = [C, C] + T_3, for C the e_c off ``derived``'s pivots.
 
-    ``terms`` are the echelons of T_2, T_3, ..., down to the zero term,
-    and the basis vectors of weight j are the echelon vectors of T_j
-    whose pivot is not one of T_(j+1), as in ``lcs_basis``.
-    ``images[p]`` holds the [w, e_t] of the echelon vector w of L^2
-    with pivot p, so [w, u] is the sum of the u_t [w, e_t], and each
-    target term takes one echelon size.  A w with no nonzero [w, e_t]
-    is central and needs no check.
+    ``terms`` are the echelons of T_2 = L^2, T_3, ... of a generator walk
+    that reached 0.  When every stored bracket has both indices in C,
+    the brackets, which span L^2, lie in [C, C]; that covers L^2 = 0.
     """
-    if len(terms) < 2:  # L^2 = 0
-        return True
-    weight_two = [images[p] for p in terms[0].keys() - terms[1].keys() if images[p]]
-    if not weight_two:
-        return True
-    reach = set().union(*weight_two)  # the t with a nonzero [w, e_t]
-    for j, (term, below) in enumerate(zip(terms, [*terms[1:], {}]), start=2):
-        target = terms[j] if j < len(terms) else {}
-        checks = []
-        for q in term.keys() - below.keys():
-            u = term[q]
-            if reach.isdisjoint(u):
-                continue
-            for image in weight_two:
-                acc: dict[int, int] = {}
-                for t, x in u.items():
-                    if t in image:
-                        for r, y in image[t].items():
-                            acc[r] = acc.get(r, 0) + x * y
-                nz = {r: y for r, y in acc.items() if y}
-                if nz:
-                    checks.append(nz)
-        if checks and len(_echelon([*target.values(), *checks])) != len(target):
-            return False
-    return True
+    cc = [coeffs for i, j, coeffs in L.brackets if i not in derived and j not in derived]
+    return len(cc) == len(L.brackets) or len(_echelon([*terms[1].values(), *cc])) == len(derived)
 
 
 def lower_central_series(L: LieAlgebra) -> SeriesReport:

@@ -6,9 +6,12 @@ the original (sympy over QQ, on boundaries built here from the dense
 table), that the basis is adapted, and that catalog tables skip the
 transport.  ``center`` takes its kernel on the adapted table too; it is
 checked against ``table_center``, the kernel on the original table.
-The series walk brackets only with the generators of L/L^2: the tests
-count the vectors it passes to the echelon kernel, and check that its
-certificate rejects the non-nilpotent algebras whose walk reaches 0.
+The series walk brackets only with the generators C of L/L^2: the
+tests count the vectors it passes to the echelon kernel, and check that
+its generation test, L^2 = [C, C] + [L^2, C], accepts every nilpotent
+algebra and rejects the non-nilpotent ones whose walk reaches 0.  Every
+vector any caller passes to the echelon kernel is checked for explicit
+zero entries.
 """
 
 from fractions import Fraction
@@ -16,7 +19,7 @@ from itertools import combinations
 
 import pytest
 
-from liemult import liealg
+from liemult import liealg, linalg, multiplier, verify
 from liemult.catalog import abelian, heisenberg, heisenberg_plus_abelian, l_4_5_2_4, standard_entries
 from liemult.liealg import (
     build,
@@ -30,7 +33,7 @@ from liemult.liealg import (
 from liemult.linalg import Matrix
 from liemult.multiplier import schur_multiplier_dim
 from liemult.randgen import Lcg, random_change_of_basis, random_unimodular
-from liemult.verify import build_population
+from liemult.verify import build_population, run_suite
 
 from fraction_reference import (
     bracket,
@@ -174,7 +177,7 @@ def _non_nilpotent_originals():
     the perfect sl2 and so(3), one term later for the others.  On
     sl2 + A(1) and so(3) + A(2) the generators are the abelian summand,
     whose brackets vanish, so the walk over them reaches 0 and only the
-    certificate sends ``_series`` on to the walk over every e_t.
+    generation test sends ``_series`` on to the walk over every e_t.
     """
     sl2, so3 = NON_NILPOTENT["sl2"], NON_NILPOTENT["so3"]
     return {**NON_NILPOTENT,
@@ -225,15 +228,27 @@ def _strictly_upper(k):
                               for a, b in combinations(units, 2) if a[1] == b[0]])
 
 
-def test_certificate_decides_the_generator_walks_that_reach_zero(monkeypatch):
+def _generation_verdicts(monkeypatch):
+    """The list that collects each verdict of ``liealg._generated`` from now on."""
     verdicts = []
-    certified = liealg._certified
+    generated = liealg._generated
 
-    def recorded(images, terms):
-        verdicts.append(certified(images, terms))
+    def recorded(L, derived, terms):
+        verdicts.append(generated(L, derived, terms))
         return verdicts[-1]
 
-    monkeypatch.setattr(liealg, "_certified", recorded)
+    monkeypatch.setattr(liealg, "_generated", recorded)
+    return verdicts
+
+
+def _between_generators(alg):
+    """Whether every stored bracket has both indices off the pivots of L^2."""
+    derived = liealg._series(alg)[0][0]
+    return all(i not in derived and j not in derived for i, j, _ in alg.brackets)
+
+
+def test_certificate_decides_the_generator_walks_that_reach_zero(monkeypatch):
+    verdicts = _generation_verdicts(monkeypatch)
     originals = _non_nilpotent_originals()
     for label, dims in (("sl2+A(1)", (4, 3)), ("so3+A(2)", (5, 3))):
         verdicts.clear()
@@ -242,13 +257,34 @@ def test_certificate_decides_the_generator_walks_that_reach_zero(monkeypatch):
         assert (rep.lcs_dims, rep.nilpotency_class) == (dims, None)
         assert verdicts == [False]
 
-    # [L^2, L^2] != 0 here, so the check sums nonzero brackets into T_4
+    # H(2) + A(1) brackets only generators, so the test answers without
+    # an echelon; the strictly upper 4 x 4 and 5 x 5 matrices bracket
+    # vectors of L^2 too ([E_02, E_23] = E_03), and [L^2, L^2] != 0 in
+    # the 5 x 5 ones, so the test echelons T_3 with [C, C]
     upper = _strictly_upper(5)
-    for alg in (upper, change_of_basis(upper, random_unimodular(10, Lcg(4), steps=120))):
+    for alg, dims, short in (
+            (direct_sum(heisenberg(2).algebra, abelian(1).algebra), (6, 1, 0), True),
+            (_strictly_upper(4), (6, 3, 1, 0), False),
+            (upper, (10, 6, 3, 1, 0), False),
+            (change_of_basis(upper, random_unimodular(10, Lcg(4), steps=120)), (10, 6, 3, 1, 0),
+             False)):
         verdicts.clear()
         liealg._series.cache_clear()
         rep = lower_central_series(alg)
-        assert rep.lcs_dims == tuple(len(t) for t in lower_central_terms(alg)) == (10, 6, 3, 1, 0)
+        assert rep.lcs_dims == tuple(len(t) for t in lower_central_terms(alg)) == dims
+        assert verdicts == [True]
+        assert _between_generators(alg) is short
+
+
+def test_generation_test_accepts_every_nilpotent_algebra(monkeypatch):
+    # a wrong rejection would leave every output as it is and only walk
+    # again over every e_t, so the verdicts themselves are checked
+    verdicts = _generation_verdicts(monkeypatch)
+    cases = [c.algebra for c in build_population(4, 3, 7)] + _moved_filiforms()
+    for alg in cases:
+        verdicts.clear()
+        liealg._series.cache_clear()
+        assert lower_central_series(alg).is_nilpotent
         assert verdicts == [True]
 
 
@@ -276,18 +312,19 @@ def _moved_filiforms():
 
 def test_series_walk_brackets_only_with_the_generators(monkeypatch):
     # C(n,2) stored brackets for L^2, |C| brackets per vector of each
-    # later term, and at most twice the terms' sizes for the certificate;
-    # the walk over every e_t passes 168 and 342 vectors here
-    for alg, bound in zip(_moved_filiforms(), (112, 189)):
+    # term, and T_3 with at most C(|C|,2) brackets of generators for the
+    # generation test; the walk over every e_t passes 168 and 342 vectors here
+    for alg, bound in zip(_moved_filiforms(), (76, 125)):
         n = alg.dim
         rep = lower_central_series(alg)
-        derived = rep.derived_dim
-        assert bound == n * (n - 1) // 2 + (n - derived + 2) * sum(rep.lcs_dims[1:])
+        c = n - rep.derived_dim
+        assert bound == (n * (n - 1) // 2 + c * sum(rep.lcs_dims[1:]) + rep.lcs_dims[2]
+                         + c * (c - 1) // 2)
         assert sum(map(len, _echelon_inputs(monkeypatch, alg))) <= bound
 
 
 def test_series_passes_no_explicit_zero_to_the_echelon(monkeypatch):
-    # the certificate's sums cancel entries, and the kernel would keep a zero
+    # the bracket sums cancel entries, and the kernel would keep a zero
     cases = [(f"filiform({alg.dim})@lcg3", alg) for alg in _moved_filiforms()]
     cases += [(c.case_id, c.algebra) for c in build_population(4, 3, 7)]
     cases += [(case.id, case.values[0]) for case in _non_nilpotent_cases()]
@@ -295,6 +332,39 @@ def test_series_passes_no_explicit_zero_to_the_echelon(monkeypatch):
         for vectors in _echelon_inputs(monkeypatch, alg):
             for v in vectors:
                 assert all(x for _, x in (v.items() if isinstance(v, dict) else v)), label
+
+
+def test_no_caller_passes_an_explicit_zero_to_the_echelon(monkeypatch, tmp_path, capsys):
+    # every module that binds the kernel is patched; the linalg binding is
+    # the one _span, _kernel, _inverse and rank call
+    from liemult.cli import main
+    from liemult.lieconst import render
+
+    echelon = linalg._echelon
+    seen, zeros = [], []
+
+    def checked(vectors):
+        vectors = list(vectors)
+        seen.append(len(vectors))
+        zeros.extend(v for v in vectors
+                     if not all(x for _, x in (v.items() if isinstance(v, dict) else v)))
+        return echelon(vectors)
+
+    for module in (linalg, liealg, multiplier, verify):
+        monkeypatch.setattr(module, "_echelon", checked)
+    clear_caches()
+    for suite in verify.SUITES:
+        assert run_suite(suite, max_m=2, max_k=1, max_n=4).passed, suite
+    cases = [(case.id, case.values[0]) for case in _dense_base_changes() + _non_nilpotent_cases()]
+    for label, alg in cases:
+        path = tmp_path / "case.lie"
+        path.write_text(render(alg))
+        for command in ("info", "multiplier", "classify"):
+            clear_caches()
+            main([command, str(path)])
+            capsys.readouterr()
+        assert zeros == [], label
+    assert len(seen) > 1000
 
 
 def _catalog_tables():
