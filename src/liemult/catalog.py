@@ -41,11 +41,6 @@ class CatalogEntry:
         return f"{self.family}({','.join(str(p) for p in self.params)})"
 
 
-def _e(n: int, k: int) -> tuple[int, ...]:
-    """1-based unit coefficient vector."""
-    return tuple(1 if c == k else 0 for c in range(1, n + 1))
-
-
 def abelian(k: int) -> CatalogEntry:
     """A(k): dimension k, every bracket zero; dim M = k(k-1)/2."""
     if k < 0:
@@ -63,7 +58,7 @@ def heisenberg(m: int) -> CatalogEntry:
     if m < 1:
         raise ValueError(f"Heisenberg parameter must be >= 1, got {m}")
     n = 2 * m + 1
-    alg = build(n, [(2 * i - 1, 2 * i, _e(n, n)) for i in range(1, m + 1)])
+    alg = build(n, [(2 * i - 1, 2 * i, {n: 1}) for i in range(1, m + 1)])
     expected_dim_m = 2 if m == 1 else 2 * m * m - m - 1
     expected_s = 0 if m == 1 else 2
     return CatalogEntry(FAMILY_HEISENBERG, (m,), alg, expected_dim_m, expected_s)
@@ -74,7 +69,7 @@ def l_3_4_1_4() -> CatalogEntry:
 
     [e1,e2] = e3, [e1,e3] = e4: filiform of class 3; dim M = 2, s = 2.
     """
-    alg = build(4, [(1, 2, _e(4, 3)), (1, 3, _e(4, 4))])
+    alg = build(4, [(1, 2, {3: 1}), (1, 3, {4: 1})])
     return CatalogEntry(FAMILY_L3414, (), alg, 2, 2)
 
 
@@ -83,7 +78,7 @@ def l_4_5_2_4() -> CatalogEntry:
 
     Pinned by dim = 5, dim L^2 = 2, dim Z = 2, class 2, dim M = 6, s = 1.
     """
-    alg = build(5, [(1, 2, _e(5, 4)), (1, 3, _e(5, 5))])
+    alg = build(5, [(1, 2, {4: 1}), (1, 3, {5: 1})])
     return CatalogEntry(FAMILY_L4524, (), alg, 6, 1)
 
 
@@ -93,10 +88,6 @@ def heisenberg_plus_abelian(m: int, k: int) -> CatalogEntry:
     For m >= 2, dim M = n(n-3)/2 and s = 2; for m = 1 the sum has
     dim M = (n-1)(n-2)/2 + 1 and s = 0.
     """
-    if m < 1:
-        raise ValueError(f"Heisenberg parameter must be >= 1, got {m}")
-    if k < 0:
-        raise ValueError(f"abelian dimension must be >= 0, got {k}")
     alg = direct_sum(heisenberg(m).algebra, abelian(k).algebra)
     n = 2 * m + 1 + k
     if m >= 2:

@@ -45,7 +45,6 @@ class Fingerprint:
     derived_dim: int
     center_dim: int
     nilpotency_class: Optional[int]
-    lcs_dims: tuple[int, ...]
     dim_m: int
     t: int
     s: int
@@ -70,7 +69,6 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
         derived_dim=series.derived_dim,
         center_dim=center(L).dim,
         nilpotency_class=series.nilpotency_class,
-        lcs_dims=series.lcs_dims,
         dim_m=rep.dim_m,
         t=rep.t,
         s=rep.s,

@@ -301,7 +301,7 @@ def center(L: LieAlgebra) -> Subspace:
     kernel = _kernel(n, rows.values())
     if adapted == L:
         return kernel
-    basis, _ = lcs_basis(L)
+    basis = lcs_basis(L)
     out = []
     for z in kernel.rows:
         acc: dict[int, int] = {}
@@ -414,28 +414,25 @@ def lower_central_series(L: LieAlgebra) -> SeriesReport:
     )
 
 
-def lcs_basis(L: LieAlgebra) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
-    """A basis of L adapted to its lower central series, with each vector's weight.
+def lcs_basis(L: LieAlgebra) -> tuple[SparseRow, ...]:
+    """A basis of L adapted to its lower central series.
 
     A pivot set only grows from a term to the next larger one, so the
     echelon vectors of L^k whose pivot is not a pivot of L^(k+1) complete
     L^(k+1) to L^k; for L^1 = L they are the unit vectors e_c.  The
     basis lists these complements from L/L^2 down to the last nonzero
-    term, whose whole echelon comes last; a vector from L^k has weight
-    k.  So the last dim L^k vectors span L^k, and [f_a, f_b] lies in the
-    term of weight w(a) + w(b) (or in the last term, where a
+    term, whose whole echelon comes last.  So the last dim L^k vectors
+    span L^k, with the dims of ``lower_central_series(L).lcs_dims``, and
+    a vector of weight k, one of L^k outside L^(k+1), brackets with one
+    of weight j into L^(k+j) (or into the last term, where a
     non-nilpotent series stabilises).
     """
     terms, _ = _series(L)
     derived = terms[0] if terms else {}
     basis: list[SparseRow] = [((c, 1),) for c in range(L.dim) if c not in derived]
-    weights: list[int] = [1] * len(basis)
-    for k, (term, below) in enumerate(zip(terms, [*terms[1:], {}]), start=2):
-        for p, v in sorted(term.items()):
-            if p not in below:
-                basis.append(tuple(sorted(v.items())))
-                weights.append(k)
-    return tuple(basis), tuple(weights)
+    for term, below in zip(terms, [*terms[1:], {}]):
+        basis += [tuple(sorted(v.items())) for p, v in sorted(term.items()) if p not in below]
+    return tuple(basis)
 
 
 @lru_cache(maxsize=32)
@@ -450,7 +447,7 @@ def lcs_adapted(L: LieAlgebra) -> LieAlgebra:
     ``schur_multiplier_dim`` all ask for it, so the last 32 results are
     cached, and a hit may return an equal copy of L in place of L itself.
     """
-    basis, _ = lcs_basis(L)
+    basis = lcs_basis(L)
     if all(len(v) == 1 for v in basis):
         return L
     rows = [[0] * L.dim for _ in basis]

@@ -16,8 +16,8 @@ from typing import Callable
 
 from . import catalog
 from .classifier import AbelianAlgebra, Status, classify
-from .liealg import LieAlgebra, NotNilpotent, center, direct_sum
-from .linalg import Subspace, _echelon, _span
+from .liealg import LieAlgebra, NotNilpotent, direct_sum
+from .linalg import Subspace, _span
 from .multiplier import (
     check_defect_bounds,
     check_kunneth,
@@ -177,23 +177,15 @@ def run_bounds(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
 
 def run_kunneth() -> SuiteReport:
     """Direct-sum additivity, both sides computed independently."""
-    pool = [
-        ("A(0)", catalog.abelian(0).algebra),
-        ("A(1)", catalog.abelian(1).algebra),
-        ("A(2)", catalog.abelian(2).algebra),
-        ("A(3)", catalog.abelian(3).algebra),
-        ("H(1)", catalog.heisenberg(1).algebra),
-        ("H(2)", catalog.heisenberg(2).algebra),
-        ("H(3)", catalog.heisenberg(3).algebra),
-        ("L3414", catalog.l_3_4_1_4().algebra),
-        ("L4524", catalog.l_4_5_2_4().algebra),
-    ]
+    pool = [catalog.abelian(k) for k in range(4)]
+    pool += [catalog.heisenberg(m) for m in range(1, 4)]
+    pool += [catalog.l_3_4_1_4(), catalog.l_4_5_2_4()]
     results = []
-    for i, (n1, l1) in enumerate(pool):
-        for n2, l2 in pool[i:]:
-            chk = check_kunneth(l1, l2)
+    for i, e1 in enumerate(pool):
+        for e2 in pool[i:]:
+            chk = check_kunneth(e1.algebra, e2.algebra)
             results.append(_case(
-                f"kunneth[{n1}|{n2}]", chk.holds,
+                f"kunneth[{e1.label}|{e2.label}]", chk.holds,
                 f"lhs={chk.lhs} rhs={chk.rhs}"
                 f"={chk.dim_m_left}+{chk.dim_m_right}+{chk.tensor_dim}",
             ))
@@ -203,11 +195,11 @@ def run_kunneth() -> SuiteReport:
 def _coordinate_central_subsets(L: LieAlgebra) -> list[tuple[tuple[int, ...], Subspace]]:
     """All spans of subsets of central standard basis vectors.
 
-    e_i is central exactly when adding it to the center's rows keeps the
-    echelon's size.
+    e_i is central exactly when no stored bracket has index i, as the
+    stored brackets are the nonzero [e_i, e_j].
     """
-    z = center(L)
-    coords = [i for i in range(L.dim) if len(_echelon([*z.rows, {i: 1}])) == z.dim]
+    busy = {x for i, j, _ in L.brackets for x in (i, j)}
+    coords = [i for i in range(L.dim) if i not in busy]
     subsets: list[tuple[tuple[int, ...], Subspace]] = []
     for mask in range(1 << len(coords)):
         picked = tuple(coords[b] for b in range(len(coords)) if mask >> b & 1)
@@ -239,13 +231,13 @@ def run_quotient(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
     return _report("quotient", results)
 
 
-def _classify_matches(L: LieAlgebra, family: str,
-                      params: tuple[int, ...]) -> tuple[bool, str]:
+def _classify_matches(L: LieAlgebra, entry: catalog.CatalogEntry) -> tuple[bool, int, str]:
+    """Whether ``classify(L)`` names ``entry``'s family and parameters, with its s."""
     res = classify(L)
-    ok = (res.status is Status.CLASSIFIED and res.family == family
-          and res.params == params)
+    ok = (res.status is Status.CLASSIFIED and res.family == entry.family
+          and res.params == entry.params)
     got = res.family if res.status is Status.CLASSIFIED else res.status.value
-    return ok, f"got={got}{res.params if res.params else ''} s={res.s_value}"
+    return ok, res.s_value, f"got={got}{res.params if res.params else ''} s={res.s_value}"
 
 
 def run_classification(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
@@ -255,36 +247,28 @@ def run_classification(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
 
     for n in range(3, max_n + 1):
         e = catalog.heisenberg_plus_abelian(1, n - 3)
-        s = schur_multiplier_dim(e.algebra).s
-        ok, detail = _classify_matches(e.algebra, catalog.FAMILY_H_PLUS_A, (1, n - 3))
+        ok, s, detail = _classify_matches(e.algebra, e)
         results.append(_case(f"s0-series[n={n}]", s == 0 and ok,
                              f"s={s} {detail}"))
 
     l4524 = catalog.l_4_5_2_4()
-    rep = schur_multiplier_dim(l4524.algebra)
-    ok, detail = _classify_matches(l4524.algebra, catalog.FAMILY_L4524, ())
-    results.append(_case("s1[L4524]", rep.s == 1 and rep.dim_m == 6 and ok,
-                         f"s={rep.s} dimM={rep.dim_m} {detail}"))
+    dim_m = schur_multiplier_dim(l4524.algebra).dim_m
+    ok, s, detail = _classify_matches(l4524.algebra, l4524)
+    results.append(_case("s1[L4524]", s == 1 and dim_m == 6 and ok,
+                         f"s={s} dimM={dim_m} {detail}"))
 
-    mt_families: list[tuple[str, LieAlgebra, str, tuple[int, ...]]] = [
-        ("L3414", catalog.l_3_4_1_4().algebra, catalog.FAMILY_L3414, ()),
-        ("L4524plusA1", catalog.l4524_plus_a1().algebra,
-         catalog.FAMILY_L4524_PLUS_A1, ()),
-    ]
-    for m in range(2, max_m + 1):
-        for k in range(0, max_k + 1):
-            e = catalog.heisenberg_plus_abelian(m, k)
-            mt_families.append((e.label, e.algebra, catalog.FAMILY_H_PLUS_A, (m, k)))
+    mt_families = [catalog.l_3_4_1_4(), catalog.l4524_plus_a1()]
+    mt_families += [catalog.heisenberg_plus_abelian(m, k)
+                    for m in range(2, max_m + 1) for k in range(0, max_k + 1)]
 
     rng = Lcg(seed)
-    for label, alg, family, params in mt_families:
-        s = schur_multiplier_dim(alg).s
-        ok, detail = _classify_matches(alg, family, params)
-        results.append(_case(f"mt[{label}]", s == 2 and ok, f"s={s} {detail}"))
+    for e in mt_families:
+        ok, s, detail = _classify_matches(e.algebra, e)
+        results.append(_case(f"mt[{e.label}]", s == 2 and ok, f"s={s} {detail}"))
         for trial in range(10):
-            moved = random_change_of_basis(alg, rng)
-            ok, detail = _classify_matches(moved, family, params)
-            results.append(_case(f"mt-stability[{label},{trial}]", ok, detail))
+            moved = random_change_of_basis(e.algebra, rng)
+            ok, _, detail = _classify_matches(moved, e)
+            results.append(_case(f"mt-stability[{e.label},{trial}]", ok, detail))
 
     for case in build_population(max_m, max_k, seed):
         try:

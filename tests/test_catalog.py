@@ -112,3 +112,15 @@ def test_entry_dispatch():
     with pytest.raises(ValueError):
         entry("L3414", (1,))
     assert len(FAMILIES) == 6
+
+
+@pytest.mark.parametrize("params, message", [
+    ((0, 1), "Heisenberg parameter must be >= 1, got 0"),
+    ((1, -1), "abelian dimension must be >= 0, got -1"),
+    ((0, -1), "Heisenberg parameter must be >= 1, got 0"),
+])
+def test_hplusa_parameter_errors(params, message):
+    # H(m) and A(k) are built first and check their own parameter
+    with pytest.raises(ValueError) as exc:
+        entry("HplusA", params)
+    assert str(exc.value) == message

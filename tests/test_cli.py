@@ -169,6 +169,15 @@ def test_catalog_bad_params(capsys):
     assert err
 
 
+@pytest.mark.parametrize("params, message", [
+    (("0", "1"), "Heisenberg parameter must be >= 1, got 0"),
+    (("1", "-1"), "abelian dimension must be >= 0, got -1"),
+    (("0", "-1"), "Heisenberg parameter must be >= 1, got 0"),
+])
+def test_catalog_hplusa_parameter_errors(capsys, params, message):
+    assert run(capsys, "catalog", "HplusA", *params) == (4, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["A"], "A takes 1 parameter, got 0"),
     (["HplusA", "1"], "HplusA takes 2 parameters, got 1"),

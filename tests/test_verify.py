@@ -3,6 +3,9 @@
 import pytest
 
 from liemult import liealg, verify
+from liemult.catalog import standard_entries
+from liemult.liealg import center
+from liemult.linalg import _echelon
 from liemult.multiplier import DefectBoundsCheck
 from liemult.randgen import Lcg
 from liemult.verify import (
@@ -79,6 +82,19 @@ def test_quotient_suite_computes_no_center_of_a_quotient():
     clear_caches()
     assert run_suite("quotient").passed
     assert liealg.center.cache_info().misses == 24
+
+
+def test_coordinate_central_subsets_pick_the_central_unit_vectors():
+    # oracle: e_i is central exactly when adding it to the center's rows
+    # keeps the echelon's size
+    algebras = [e.algebra for e in standard_entries(4, 3)]
+    algebras += [c.algebra for c in build_population(4, 3, 7)]
+    for alg in algebras:
+        z = center(alg)
+        want = [i for i in range(alg.dim) if len(_echelon([*z.rows, {i: 1}])) == z.dim]
+        subsets = verify._coordinate_central_subsets(alg)
+        assert len(subsets) == 1 << len(want)
+        assert subsets[-1][0] == tuple(want)
 
 
 def test_bounds_suite_computes_no_center():
