@@ -12,9 +12,7 @@ cross-checked against an independent formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from inspect import signature
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .liealg import LieAlgebra, build, direct_sum
 
@@ -26,8 +24,7 @@ FAMILY_H_PLUS_A = "HplusA"
 FAMILY_L4524_PLUS_A1 = "L4524plusA1"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     family: str
     params: tuple[int, ...]
     algebra: LieAlgebra
@@ -123,7 +120,7 @@ def entry(family: str, params: tuple[int, ...] = ()) -> CatalogEntry:
     make = _CONSTRUCTORS.get(family)
     if make is None:
         raise ValueError(f"unknown catalog family {family!r}")
-    arity = len(signature(make).parameters)
+    arity = make.__code__.co_argcount
     if len(params) != arity:
         noun = "parameter" if arity == 1 else "parameters"
         raise ValueError(f"{family} takes {arity} {noun}, got {len(params)}")

@@ -14,8 +14,7 @@ sweeps exist to hunt for exactly that.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .catalog import (
     FAMILY_H_PLUS_A,
@@ -37,8 +36,7 @@ class Status(enum.Enum):
     THEOREM_VIOLATION = "TheoremViolation"
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """Isomorphism invariants used to match an algebra to a family."""
 
     n: int
@@ -50,8 +48,7 @@ class Fingerprint:
     s: int
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     status: Status
     family: Optional[str]
     params: tuple[int, ...]

@@ -49,11 +49,10 @@ changes of :mod:`liemult.randgen`, built exactly by their generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
-from typing import Container, Iterable, Mapping, Optional, Sequence, Union
+from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .linalg import (
     AmbientMismatch,
@@ -113,7 +112,6 @@ Coefficients = tuple[tuple[int, int], ...]
 Brackets = tuple[tuple[int, int, Coefficients], ...]
 
 
-@dataclass(frozen=True, repr=False)
 class LieAlgebra:
     """Lie algebra on basis e_1..e_n given by rational structure constants.
 
@@ -121,20 +119,37 @@ class LieAlgebra:
     by (i, j), nonzero brackets only: a / denom is the coefficient of
     e_m in [e_i, e_j].  ``denom`` is the least common denominator of the
     constants (1 when there are none), which fixes the numerators.
-    The hash is computed once per instance.
+    Immutable; equal only to another LieAlgebra with the same three
+    fields.  The hash is computed once per instance.
     """
 
-    dim: int
-    denom: int
-    brackets: Brackets
+    __slots__ = ("dim", "denom", "brackets", "_hash")
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.dim, self.denom, self.brackets))
+    def __init__(self, dim: int, denom: int, brackets: Brackets) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "denom", denom)
+        object.__setattr__(self, "brackets", brackets)
+        object.__setattr__(self, "_hash", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.denom, self.brackets) == (other.dim, other.denom, other.brackets)
 
     def __hash__(self) -> int:
         # hashed once per instance: every lru_cache lookup keyed by an algebra calls this
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.dim, self.denom, self.brackets)))
         return self._hash
+
+    def __reduce__(self):
+        return LieAlgebra, (self.dim, self.denom, self.brackets)
 
     @property
     def is_abelian(self) -> bool:
@@ -312,8 +327,7 @@ def center(L: LieAlgebra) -> Subspace:
     return _span(n, out)
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(NamedTuple):
     """Lower-central-series fingerprint of one algebra."""
 
     lcs_dims: tuple[int, ...]

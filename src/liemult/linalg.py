@@ -23,10 +23,9 @@ boundary maps of :mod:`liemult.multiplier`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 Vector = tuple[Fraction, ...]
@@ -48,21 +47,39 @@ def rat(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
 class Matrix:
     """Dense matrix of rationals, row-major, immutable."""
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[Fraction, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"entry count {len(entries)} != {rows}x{cols}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
+
+    def __reduce__(self):
+        return Matrix, (self.rows, self.cols, self.entries)
+
+    def __repr__(self) -> str:
+        return f"Matrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> "Matrix":
@@ -260,8 +277,7 @@ def rank(m: SparseMatrix) -> int:
     return len(_echelon(m.columns.values()))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """Subspace of Q^n held by its canonical reduced rows as sparse primitive integer vectors."""
 
     ambient_dim: int

@@ -23,10 +23,9 @@ the derived-dimension-parameterized bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .liealg import (
     LieAlgebra,
@@ -105,8 +104,7 @@ def ce_d3(L: LieAlgebra) -> SparseMatrix:
     return SparseMatrix(comb(n, 2), comb(n, 3), L.denom, columns)
 
 
-@dataclass(frozen=True)
-class MultiplierReport:
+class MultiplierReport(NamedTuple):
     """Multiplier dimension with the defect invariants t and s.
 
     t = n(n-1)/2 - dim M measures the gap to the abelian maximum;
@@ -152,8 +150,7 @@ def tensor_term_dim(h: LieAlgebra, k_dim: int) -> int:
     return (h.dim - lower_central_series(h).derived_dim) * k_dim
 
 
-@dataclass(frozen=True)
-class KunnethCheck:
+class KunnethCheck(NamedTuple):
     """Both sides of the direct-sum multiplier formula, computed independently."""
 
     holds: bool
@@ -173,8 +170,7 @@ def check_kunneth(l1: LieAlgebra, l2: LieAlgebra) -> KunnethCheck:
     return KunnethCheck(lhs == rhs, lhs, rhs, m1, m2, ten)
 
 
-@dataclass(frozen=True)
-class QuotientBoundCheck:
+class QuotientBoundCheck(NamedTuple):
     """Terms of dim M(L) + dim(L^2 meet K) <= dim M(L/K) + dim M(K) + tensor."""
 
     holds: bool
@@ -226,8 +222,7 @@ def check_quotient_bound(L: LieAlgebra, k: Subspace) -> QuotientBoundCheck:
     )
 
 
-@dataclass(frozen=True)
-class DefectBoundsCheck:
+class DefectBoundsCheck(NamedTuple):
     """t >= 0, s >= 0 (non-abelian only) and the derived-dim bound."""
 
     holds: bool

@@ -9,10 +9,8 @@ central quotients; see :mod:`liemult.randgen` for the generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from inspect import signature
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import catalog
 from .classifier import AbelianAlgebra, Status, classify
@@ -36,15 +34,13 @@ _SUM_DIM_CAP = 10  # direct sums in the population stay at or below this
 _POOL_DIM_CAP = 5  # summand pool for pairwise sums
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case_id: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     results: tuple[CaseResult, ...]
 
@@ -68,8 +64,7 @@ class SuiteReport:
         return out
 
 
-@dataclass(frozen=True)
-class PopulationCase:
+class PopulationCase(NamedTuple):
     case_id: str
     algebra: LieAlgebra
 
@@ -309,7 +304,11 @@ SUITES: dict[str, Callable[..., SuiteReport]] = {
 # the run_suite arguments each suite reads, its own parameters; the
 # others are accepted by run_suite and not passed on
 SUITE_FLAGS: dict[str, tuple[str, ...]] = {
-    name: tuple(signature(run).parameters) for name, run in SUITES.items()
+    "formulas": ("max_m", "max_k"),
+    "bounds": ("max_m", "max_k", "seed"),
+    "kunneth": (),
+    "quotient": ("max_m", "max_k", "seed"),
+    "classification": ("max_m", "max_k", "max_n", "seed"),
 }
 
 
