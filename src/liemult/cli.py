@@ -21,7 +21,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from . import catalog, verify
+from . import catalog
 from .classifier import AbelianAlgebra, Status, classify
 from .liealg import (
     DuplicateBracket,
@@ -118,6 +118,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify  # with randgen; the file commands load neither
+
     report = verify.run_suite(
         args.suite, max_m=args.max_m, max_k=args.max_k,
         max_n=args.max_n, seed=args.seed,
@@ -125,6 +127,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for line in report.lines():
         print(line)
     return EXIT_OK if report.passed else EXIT_FAIL
+
+
+# The commands that read one algebra FILE: name -> (help, handler).  build_parser
+# gives each a subparser, and _parse dispatches `COMMAND FILE` from here alone.
+_FILE_COMMANDS = {
+    "info": ("structural invariants of an algebra file", _cmd_info),
+    "multiplier": ("multiplier dimension and defects", _cmd_multiplier),
+    "classify": ("catalog family for s in {0,1,2}", _cmd_classify),
+}
 
 
 def _cap(text: str) -> int:
@@ -147,6 +158,8 @@ def _max_n(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import verify
+
     parser = argparse.ArgumentParser(
         prog="liemult",
         description="Exact invariants and multiplier-defect classification "
@@ -154,17 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("info", help="structural invariants of an algebra file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_info)
-
-    p = sub.add_parser("multiplier", help="multiplier dimension and defects")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_multiplier)
-
-    p = sub.add_parser("classify", help="catalog family for s in {0,1,2}")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_classify)
+    for name, (text, handler) in _FILE_COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file")
+        p.set_defaults(func=handler)
 
     p = sub.add_parser("catalog", help="write a catalog algebra as lieconst text")
     p.add_argument("name", choices=catalog.FAMILIES)
@@ -191,9 +197,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns or raises.
+
+    ``COMMAND FILE`` for a file command, with FILE not starting with ``-``,
+    always parses to the same three fields, so that Namespace is built
+    without the parser; every other argv goes through argparse.
+    """
+    args = sys.argv[1:] if argv is None else list(argv)
+    if len(args) == 2 and args[0] in _FILE_COMMANDS and not args[1].startswith("-"):
+        command, file = args
+        return argparse.Namespace(command=command, file=file, func=_FILE_COMMANDS[command][1])
+    return build_parser().parse_args(args)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except (OSError, UnicodeDecodeError, LieconstSyntaxError) as exc:

@@ -4,7 +4,8 @@
 installs sympy and hypothesis, so a stray runtime import of either would
 pass every other test.  This reads each module's imports, at any depth,
 and checks that a cold import of the CLI leaves out the costly stdlib
-modules ``dataclasses`` and ``inspect``.
+modules ``dataclasses`` and ``inspect``, and that a file command loads
+neither ``verify`` nor the ``randgen`` it imports.
 """
 
 import ast
@@ -41,17 +42,37 @@ def test_module_imports_only_stdlib(path):
     assert not foreign, f"{path.name} imports {foreign}"
 
 
+def _python(code):
+    """Stdout of a fresh interpreter that runs code with this liemult on its path."""
+    path = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def test_cold_import_loads_neither_dataclasses_nor_inspect():
     # compared with the modules the interpreter has loaded before the
     # import, as a site-packages hook may load some of these on its own
     code = ("import sys; before = set(sys.modules); import liemult.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
-    path = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    new = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout.split()
+    new = _python(code).split()
     assert "liemult.cli" in new
     assert not {"dataclasses", "inspect"} & set(new)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["info", "FILE"], False),
+    (["verify", "--suite", "kunneth"], True),
+])
+def test_only_verify_loads_verify_and_randgen(tmp_path, argv, loaded):
+    algebra = tmp_path / "h1.lie"
+    algebra.write_text("dim 3\n[e1,e2] = e3\n")
+    argv = [str(algebra) if a == "FILE" else a for a in argv]
+    code = ("import sys; from liemult.cli import main; "
+            f"assert main({argv!r}) == 0; "
+            "print(' '.join(m for m in ('liemult.verify', 'liemult.randgen') if m in sys.modules))")
+    last = _python(code).splitlines()[-1]
+    assert last.split() == (["liemult.verify", "liemult.randgen"] if loaded else [])
 
 
 def test_literal_arities_and_suite_flags_match_the_signatures():
