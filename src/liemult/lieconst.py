@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .liealg import LieAlgebra, build
 
@@ -119,24 +120,32 @@ def parse(text: str) -> LieAlgebra:
     return build(dim, brackets)
 
 
-def _render_coeff(c: Fraction, k: int, first: bool) -> str:
-    mag = -c if c < 0 else c
-    body = f"e{k}" if mag == 1 else f"{mag} e{k}"
-    if first:
-        return f"-{body}" if c < 0 else body
-    return f" - {body}" if c < 0 else f" + {body}"
-
-
 def render(L: LieAlgebra) -> str:
-    """Canonical lieconst v1 text for an algebra."""
+    """Canonical lieconst v1 text for an algebra.
+
+    Each term is written from its stored numerator a over ``L.denom``:
+    one gcd brings a/denom to lowest terms and the sign is read off a,
+    so no Fraction is built.  A unit magnitude is written as the bare
+    basis vector, an integral one as ``p eK`` and any other as ``p/q eK``.
+    """
+    denom = L.denom
     lines = [f"dim {L.dim}"]
     for i, j, coeffs in L.brackets:
-        terms = ""
-        first = True
+        line = f"[e{i + 1},e{j + 1}] = "
+        minus, plus = "-", ""
         for m, a in coeffs:
-            terms += _render_coeff(Fraction(a, L.denom), m + 1, first)
-            first = False
-        lines.append(f"[e{i + 1},e{j + 1}] = {terms}")
+            g = gcd(a, denom)
+            p = abs(a) // g
+            q = denom // g
+            if q != 1:
+                body = f"{p}/{q} e{m + 1}"
+            elif p != 1:
+                body = f"{p} e{m + 1}"
+            else:
+                body = f"e{m + 1}"
+            line += (minus if a < 0 else plus) + body
+            minus, plus = " - ", " + "
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

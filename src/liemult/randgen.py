@@ -47,16 +47,18 @@ class Lcg:
         return seq[self.randint(0, len(seq) - 1)]
 
 
-def _unimodular(n: int, rng: Lcg, steps: Optional[int] = None
-                ) -> tuple[list[list[int]], list[dict[int, int]]]:
+def _unimodular(n: int, rng: Lcg, steps: Optional[int] = None, inverse: bool = True
+                ) -> tuple[list[list[int]], Optional[list[dict[int, int]]]]:
     """Rows of an integer Q built from shears, swaps and negations, and the sparse rows of Q^-1.
 
     Every step keeps |det| = 1 and is mirrored on Q^-1 by the inverse column
     operation: "row i += lam row j" by "column j -= lam column i", a swap or
     negation of rows by the same on columns.  So Q^-1 is exact, with no elimination.
+    With ``inverse`` false the mirror is skipped and None stands for Q^-1;
+    the draws of ``rng``, and so Q, are the same either way.
     """
     rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    cols = [list(row) for row in rows]  # the columns of Q^-1
+    cols = [list(row) for row in rows] if inverse else None  # the columns of Q^-1
     if n >= 2:
         if steps is None:
             steps = 2 * n + 2
@@ -68,22 +70,30 @@ def _unimodular(n: int, rng: Lcg, steps: Optional[int] = None
                 j = j0 + (1 if j0 >= i else 0)
                 lam = rng.choice((-2, -1, 1, 2))
                 rows[i] = [a + lam * b for a, b in zip(rows[i], rows[j])]
-                cols[j] = [a - lam * b for a, b in zip(cols[j], cols[i])]
+                if inverse:
+                    cols[j] = [a - lam * b for a, b in zip(cols[j], cols[i])]
             elif op == 2:
                 i = rng.randint(0, n - 1)
                 j = rng.randint(0, n - 1)
                 rows[i], rows[j] = rows[j], rows[i]
-                cols[i], cols[j] = cols[j], cols[i]
+                if inverse:
+                    cols[i], cols[j] = cols[j], cols[i]
             else:
                 i = rng.randint(0, n - 1)
                 rows[i] = [-a for a in rows[i]]
-                cols[i] = [-a for a in cols[i]]
+                if inverse:
+                    cols[i] = [-a for a in cols[i]]
+    if not inverse:
+        return rows, None
     return rows, [{c: x for c, x in enumerate(r) if x} for r in zip(*cols)]
 
 
 def random_unimodular(n: int, rng: Lcg, steps: Optional[int] = None) -> Matrix:
-    """The unimodular Q of ``_unimodular`` as a ``Matrix``, from the same draws of ``rng``."""
-    return Matrix.from_rows(_unimodular(n, rng, steps)[0], cols=n)
+    """The unimodular Q of ``_unimodular`` as a ``Matrix``, from the same draws of ``rng``.
+
+    Only the rows are built: a ``Matrix`` caller that wants Q^-1 eliminates for it.
+    """
+    return Matrix.from_rows(_unimodular(n, rng, steps, inverse=False)[0], cols=n)
 
 
 def random_change_of_basis(L: LieAlgebra, rng: Lcg) -> LieAlgebra:

@@ -17,8 +17,10 @@ on the same kernel, for tests that need those subspaces as values.
 the same echelon kernel, of its stacked adjoint (``stacked_adjoint``);
 the package takes it on the adapted table and maps it back.
 ``vector`` writes a dense Fraction vector from ints, strings or
-Fractions.  ``clear_caches`` empties the package's functools caches, so
-that a test can count what one cold request computes.
+Fractions.  ``render_text`` writes lieconst text with a Fraction per
+coefficient, the bytes ``lieconst.render`` must give from its integers.
+``clear_caches`` empties the package's functools caches, so that a test
+can count what one cold request computes.
 """
 
 import sys
@@ -178,6 +180,27 @@ def change_of_basis_table(L, p):
             if any(w):
                 out.append((i, j, vec_mat(w, inv)))
     return tuple(out)
+
+
+def _render_coeff(c, k, first):
+    mag = -c if c < 0 else c
+    body = f"e{k}" if mag == 1 else f"{mag} e{k}"
+    if first:
+        return f"-{body}" if c < 0 else body
+    return f" - {body}" if c < 0 else f" + {body}"
+
+
+def render_text(L):
+    """Canonical lieconst v1 text of L, each coefficient formatted as ``Fraction(a, L.denom)``."""
+    lines = [f"dim {L.dim}"]
+    for i, j, coeffs in L.brackets:
+        terms = ""
+        first = True
+        for m, a in coeffs:
+            terms += _render_coeff(Fraction(a, L.denom), m + 1, first)
+            first = False
+        lines.append(f"[e{i + 1},e{j + 1}] = {terms}")
+    return "\n".join(lines) + "\n"
 
 
 def unit_vector(n, i):

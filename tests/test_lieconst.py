@@ -7,11 +7,12 @@ import pytest
 
 from liemult.catalog import abelian, heisenberg, l_3_4_1_4, standard_entries
 from liemult.liealg import IndexOutOfRange, JacobiViolation, build, change_of_basis, quotient
+from liemult import lieconst
 from liemult.lieconst import LieconstSyntaxError, _fail, _int, _parse_terms, parse, render
 from liemult.linalg import Matrix
 from liemult.randgen import Lcg, random_change_of_basis, random_unimodular
 
-from fraction_reference import from_vectors, vector
+from fraction_reference import from_vectors, render_text, vector
 
 
 def test_parse_heisenberg():
@@ -89,6 +90,40 @@ def test_render_signs_and_fractions():
     assert render(alg) == "dim 3\n[e1,e2] = -e1 + 1/2 e3\n"
     alg = parse("dim 3\n[e1,e2] = e1 - 2 e3\n")
     assert render(alg) == "dim 3\n[e1,e2] = e1 - 2 e3\n"
+
+
+# each text is canonical: render(parse(text)) gives it back byte for byte
+RENDERED = [
+    # a unit term first and later in a line, with either sign
+    "dim 5\n[e1,e2] = -e3 + e4 - e5\n[e1,e3] = e4 - e5\n[e2,e3] = -e5\n",
+    # denom 4: the numerators 2, -6 and 4 of [e1,e2] reduce term by term
+    "dim 6\n[e1,e2] = 1/2 e4 - 3/2 e5 + e6\n[e1,e3] = -1/4 e6\n",
+    # multi-digit numerators and denominators
+    "dim 6\n[e1,e2] = -123 e4 + 4567/89 e5 - 10 e6\n[e1,e3] = 1000/891 e6\n",
+]
+
+
+@pytest.mark.parametrize("text", RENDERED)
+def test_render_writes_terms_from_the_integers(text):
+    alg = parse(text)
+    assert render(alg) == text
+    assert render(alg) == render_text(alg)
+
+
+def test_render_of_denom_4_reduces_each_term():
+    alg = parse(RENDERED[1])
+    assert (alg.denom, alg.brackets[0][2]) == (4, ((3, 2), (4, -6), (5, 4)))
+
+
+def test_render_builds_no_fraction(monkeypatch):
+    alg = parse(RENDERED[2])
+    assert alg.denom == 89 * 891
+
+    def refuse(*args):
+        raise AssertionError("render built a Fraction")
+
+    monkeypatch.setattr(lieconst, "Fraction", refuse)
+    assert render(alg) == RENDERED[2]
 
 
 def test_round_trip_catalog():

@@ -3,10 +3,13 @@
 ``randgen._unimodular`` mirrors each row operation on Q by the inverse
 column operation on Q^-1, so these tests check that inverse against the
 elimination of ``linalg._inverse`` and against Q R = I, pin the draws of
-``random_unimodular`` and the LCG state after them, and check that
+``random_unimodular`` and the LCG state after them, check that its
+rows-only draw matches the mirrored one for every n <= 12, and check that
 ``random_change_of_basis``, which transports with that inverse, gives
 the algebra that ``change_of_basis`` gives on the same ``Matrix``.
 """
+
+import hashlib
 
 import pytest
 
@@ -54,6 +57,25 @@ def test_random_unimodular_draws_are_pinned(n, seed, steps, rows, state):
     rng = Lcg(seed)
     assert _unimodular(n, rng, steps)[0] == rows
     assert rng.state == state
+
+
+# sha256 over "n steps seed rows state" lines of every draw that
+# test_rows_only_draw_matches_the_mirrored_draw makes, in its order
+ALL_DRAWS_SHA256 = "e51fe820a168dc3af95c351367f60b27692e78d6cdb630bb3a9714801fe5c1af"
+
+
+def test_rows_only_draw_matches_the_mirrored_draw():
+    h = hashlib.sha256()
+    for n in range(13):
+        for steps in (None, 3 * n, 12 * n):
+            for seed in (1, 2, 3, 2024):
+                rng = Lcg(seed)
+                rows = [[int(x) for x in row] for row in random_unimodular(n, rng, steps).iter_rows()]
+                mirrored = Lcg(seed)
+                assert _unimodular(n, mirrored, steps)[0] == rows
+                assert mirrored.state == rng.state
+                h.update(f"{n} {steps} {seed} {rows} {rng.state}\n".encode())
+    assert h.hexdigest() == ALL_DRAWS_SHA256
 
 
 def _originals():

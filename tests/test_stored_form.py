@@ -3,7 +3,8 @@
 An algebra is stored as ``(dim, denom, sparse integer brackets)`` with
 ``denom`` the least common denominator, which makes the form canonical:
 the same constants, however they were written, give equal algebras with
-equal hashes.  Runs derandomized with bounded examples, so the suite
+equal hashes, and ``render`` writes the bytes that a Fraction per
+coefficient would.  Runs derandomized with bounded examples, so the suite
 stays deterministic and fast; skipped without hypothesis.
 """
 
@@ -20,6 +21,8 @@ from liemult.liealg import change_of_basis
 from liemult.lieconst import parse, render
 from liemult.linalg import Matrix
 from liemult.randgen import Lcg, random_unimodular
+
+from fraction_reference import render_text
 
 CATALOG = [e.algebra for e in standard_entries(4, 3)]
 PROFILE = settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -75,6 +78,12 @@ def test_parse_render_round_trip(alg):
     assert again == alg
     assert hash(again) == hash(alg)
     assert again.table == alg.table
+
+
+@PROFILE
+@given(algebras())
+def test_render_matches_the_fraction_formatter(alg):
+    assert render(alg) == render_text(alg)
 
 
 @PROFILE
