@@ -62,6 +62,7 @@ from .linalg import (
     Subspace,
     Vector,
     _back_substitute,
+    _combine,
     _echelon,
     _inverse,
     _kernel,
@@ -317,14 +318,7 @@ def center(L: LieAlgebra) -> Subspace:
     if adapted == L:
         return kernel
     basis = lcs_basis(L)
-    out = []
-    for z in kernel.rows:
-        acc: dict[int, int] = {}
-        for a, x in z:
-            for c, y in basis[a]:
-                acc[c] = acc.get(c, 0) + x * y
-        out.append({c: y for c, y in acc.items() if y})
-    return _span(n, out)
+    return _span(n, (_combine(z, basis) for z in kernel.rows))
 
 
 class SeriesReport(NamedTuple):
@@ -507,14 +501,8 @@ def quotient(L: LieAlgebra, k: Subspace) -> LieAlgebra:
     for p, v in reduced.items():
         f = d // v[p]
         image[top - p] = tuple((pos[top - c], -x * f) for c, x in v.items() if c != p)
-    mapping: dict[tuple[int, int], Iterable[tuple[int, int]]] = {}
-    for i, j, coeffs in L.brackets:
-        if i in pos and j in pos:
-            acc: dict[int, int] = {}
-            for m, x in coeffs:
-                for a, y in image[m]:
-                    acc[a] = acc.get(a, 0) + x * y
-            mapping[(pos[i], pos[j])] = acc.items()
+    mapping = {(pos[i], pos[j]): _combine(coeffs, image).items()
+               for i, j, coeffs in L.brackets if i in pos and j in pos}
     return _make(len(pos), L.denom * d, mapping)
 
 
@@ -554,18 +542,13 @@ def _transport(L: LieAlgebra, rows: Sequence[Sequence[int]],
     [g_i, g_j] = sum over the stored (a, b) of
     (Q_ia Q_jb - Q_ib Q_ja) [e_a, e_b], and the coordinates on the g's
     are that times Q^-1 = R/d, which the caller gives as ``inverse`` =
-    (d, R), R in sparse rows.  So each stored bracket is first
-    multiplied by R, and every constant ends up over q * d * denom.
+    (d, R), R in sparse rows.  So ``_combine`` first multiplies each
+    stored bracket by R, and every constant ends up over q * d * denom.
     """
     n = L.dim
-    d, inv = inverse
-    images = []
-    for a, b, coeffs in L.brackets:
-        image: dict[int, int] = {}
-        for m, x in coeffs:
-            for t, y in inv[m].items():
-                image[t] = image.get(t, 0) + x * y
-        images.append((a, b, image))
+    d = inverse[0]
+    r_rows = [row.items() for row in inverse[1]]
+    images = [(a, b, _combine(coeffs, r_rows)) for a, b, coeffs in L.brackets]
     mapping: dict[tuple[int, int], Iterable[tuple[int, int]]] = {}
     for i in range(n):
         qi = rows[i]

@@ -8,6 +8,9 @@ when A's rows plus v still echelon to dim A vectors, B lies in A when
 A's rows plus B's do, and dim(A ∩ B) = dim A + dim B - dim(A + B), the
 last term being the size of the echelon of both sets of rows.  Rank
 decisions are exact by construction; no floating point enters anywhere.
+The one sparse product is ``_combine``, a sparse integer vector times
+sparse rows: base changes, quotients, the center's map-back and the
+random central subspaces all form their combinations with it.
 
 A sparse integer vector is a ``{index: numerator}`` dict, or a sequence
 of ``(index, numerator)`` pairs, with zero entries left out.  A
@@ -180,6 +183,22 @@ def _echelon(vectors: Iterable[IntVector]) -> dict[int, dict[int, int]]:
                 break
             v = _cancel(v, piv, p)
     return echelon
+
+
+def _combine(v: Iterable[tuple[int, int]],
+             rows: Sequence[Iterable[tuple[int, int]]]) -> dict[int, int]:
+    """The sum of x * rows[m] over the (m, x) of the sparse integer vector v, zero entries left out.
+
+    Each row is an iterable of ``(index, numerator)`` pairs: a
+    ``SparseRow``, or a dict's ``.items()``; ``rows`` may be any
+    container indexed by m, a dict among them.  Zeros are dropped
+    because ``_echelon`` would take an explicit zero as an entry.
+    """
+    acc: dict[int, int] = {}
+    for m, x in v:
+        for c, y in rows[m]:
+            acc[c] = acc.get(c, 0) + x * y
+    return {c: y for c, y in acc.items() if y}
 
 
 def _cancel(v: dict[int, int], piv: dict[int, int], p: int) -> dict[int, int]:

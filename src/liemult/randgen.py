@@ -20,7 +20,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .liealg import LieAlgebra, _transport, center, quotient
-from .linalg import Matrix, Subspace, _span
+from .linalg import Matrix, Subspace, _combine, _span
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
@@ -117,16 +117,10 @@ def random_central_subspace(L: LieAlgebra, rng: Lcg,
     # the reduced rows with unit pivots are z.rows divided by their
     # pivots; scaling all of them by the lcm of the pivots keeps the span
     pivots = lcm(*(row[0][1] for row in z.rows))
-    vecs = []
-    for _ in range(d):
-        coeffs = [rng.randint(-2, 2) for _ in range(z.dim)]
-        v: dict[int, int] = {}
-        for w, row in zip(coeffs, z.rows):
-            if w:
-                f = w * (pivots // row[0][1])
-                for c, x in row:
-                    v[c] = v.get(c, 0) + f * x
-        vecs.append({c: x for c, x in v.items() if x})
+    scale = [pivots // row[0][1] for row in z.rows]
+    # each combination draws its z.dim weights in [-2, 2] in row order
+    vecs = [_combine(enumerate([rng.randint(-2, 2) * f for f in scale]), z.rows)
+            for _ in range(d)]
     return _span(L.dim, vecs)
 
 

@@ -301,14 +301,11 @@ SUITES: dict[str, Callable[..., SuiteReport]] = {
     "classification": run_classification,
 }
 
-# the run_suite arguments each suite reads, its own parameters; the
-# others are accepted by run_suite and not passed on
+# the run_suite arguments each suite reads, its own parameters, read off
+# its code object as catalog.entry reads arities; the others are
+# accepted by run_suite and not passed on
 SUITE_FLAGS: dict[str, tuple[str, ...]] = {
-    "formulas": ("max_m", "max_k"),
-    "bounds": ("max_m", "max_k", "seed"),
-    "kunneth": (),
-    "quotient": ("max_m", "max_k", "seed"),
-    "classification": ("max_m", "max_k", "max_n", "seed"),
+    name: run.__code__.co_varnames[:run.__code__.co_argcount] for name, run in SUITES.items()
 }
 
 
