@@ -30,12 +30,14 @@ through ``lcs_basis``; each term of the lower central series, and
 the test [L, S] ⊆ S, is echeloned by the exact fraction-free kernel of
 :mod:`liemult.linalg` that also computes ``linalg.rank``; L^2 is the
 echelon of the stored bracket vectors themselves.  Past L^2 the walk
-brackets only with C, the e_c off L^2's pivots, as a nilpotent
-algebra is generated by any complement of L^2; the terms it finds are
-the series exactly when L^2 = [C, C] + [L^2, C], one echelon size, and
-an algebra that fails that test is not nilpotent and is walked again
-with every e_t.  The series is walked once per algebra, by the cached
-``_series``, whose echelons give both the dimensions, dim L^2 among
+brackets only the newest layer with C, the e_c off L^2's pivots, as a
+nilpotent algebra is generated by any complement of L^2: S_2 = [C, C]
+and S_(j+1) = [S_j, C], so each layer vector meets C once, and the terms
+L^k = S_k + L^(k+1) are built from the zero term up.  They are the
+series exactly when the layers reach 0 and add up to L^2, one echelon
+size; an algebra that fails that test is not nilpotent and is walked
+again with every e_t.  The series is walked once per algebra, by the
+cached ``_series``, whose echelons give both the dimensions, dim L^2 among
 them, that the uncached ``lower_central_series`` reports, and
 ``lcs_basis``, a basis adapted to the flag L ⊃ L^2 ⊃ ... on which
 [L^i, L^j] ⊆ L^(i+j); ``lcs_adapted`` writes L on it, and :mod:`liemult.multiplier` ranks the
@@ -293,7 +295,7 @@ def first_jacobi_violation(
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def center(L: LieAlgebra) -> Subspace:
     """{ x : [x, e_j] = 0 for all j }, as the kernel of the stacked adjoint of ``lcs_adapted(L)``.
 
@@ -353,59 +355,62 @@ def _integer_brackets(ad: list, v: Iterable[tuple[int, int]],
     return {t: nz for t, acc in out.items() if (nz := {r: y for r, y in acc.items() if y})}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _series(L: LieAlgebra) -> tuple[tuple[dict[int, dict[int, int]], ...], bool]:
     """Echelons of the distinct terms L^2, L^3, ..., and whether the series reached 0.
 
-    L^2 is the echelon of the stored bracket vectors, each bracket once.
-    The walk first brackets only with C, the e_c whose index c is not a
-    pivot of L^2: T_2 = L^2 and T_(k+1) is the echelon of the [v, e_t]
-    for v in T_k's echelon and t in C, formed in integers from the
-    stored brackets.  These terms only shrink, T_(k+1) ⊆ T_k, with or
-    without the Jacobi identity, since T_3 = [T_2, C] ⊆ L^2.  Once they
-    reach 0, ``_generated`` tests L^2 = [C, C] + T_3, which decides
-    whether the T_k are the lower central series:
+    L^2 is the echelon of the stored bracket vectors, each bracket once;
+    it is 0 only for an abelian L, whose series is L, 0.  Otherwise the
+    walk brackets only with C, the e_c whose index c is not a pivot of
+    L^2, one layer at a time: S_2 = [C, C] is the echelon of the stored
+    brackets between generators (L^2 itself when every stored bracket is
+    one), and S_(j+1) is the echelon of the [v, e_t] for v in S_j's
+    echelon and t in C, formed in integers from the stored brackets.  The
+    layers stop at a zero layer, or after dim L^2 + 1 of them.  When one
+    is 0, the terms are built from the zero term up, T_k = S_k + T_(k+1),
+    each echelon extending a copy of the one below, and the sum of the
+    layers decides whether the T_k are the lower central series:
 
-    - Substituting T_k = [T_(k-1), C] into L^2 = [C, C] + T_3 until the
-      zero term puts L^2 inside the subalgebra generated by C, so C
-      generates L.  This step needs no Jacobi identity.
-    - In an algebra generated by C, L^(k+1) = [L^k, C], as left-normed
-      brackets of length >= k span L^k; so T_k = L^k for every k.
-    - Conversely, a nilpotent L passes: C generates it, so T_3 = L^3,
-      and [L^2, L^2] ⊆ L^3.
+    - Every layer lies in L^2, so S_2 + T_3 = L^2, one echelon size,
+      exactly when L = C + L^2 lies in the span of C and the layers,
+      that is, when C generates L.  This step needs no Jacobi identity.
+    - In an algebra generated by C, L^k is spanned by the left-normed
+      brackets of length >= k, so T_k = L^k for every k, and L^2 stands
+      for T_2.
+    - Conversely, a nilpotent L passes: any complement C of L^2
+      generates it, and its class is at most dim L^2 + 1, so its layers
+      reach 0 within the bound.
 
-    If the generator walk stalls above zero or the test fails, L is not
-    nilpotent, and the same loop walks again from L^2 with every e_t.
-    A walk stops at the zero term, which is then the last echelon, or
-    when a term's echelon has the size of the previous one: the series
-    has stabilised above zero, and that repeated term is left out.
+    If no layer is 0 or the sizes differ, L is not nilpotent, and the
+    series is walked from L^2 with every e_t: T_(k+1) is the echelon of
+    the [v, e_t] for v in T_k's echelon.  That walk stops at the zero
+    term, which is then the last echelon, or when a term's echelon has
+    the size of the previous one: the series has stabilised above zero,
+    and that repeated term is left out.
     """
-    ad = _adjoint(L.dim, L.brackets)
     derived = _echelon(coeffs for _, _, coeffs in L.brackets)
-    # the generator walk skips the e_t on L^2's pivots, the second walk none
-    for skip in (derived, ()):
-        terms: list[dict[int, dict[int, int]]] = []
-        size, nxt = L.dim, derived
-        while size and len(nxt) < size:
-            terms.append(nxt)
-            size = len(nxt)
-            nxt = _echelon(w for v in nxt.values()
-                           for w in _integer_brackets(ad, v.items(), skip).values())
-        if not size and (skip is not derived or _generated(L, derived, terms)):
-            return tuple(terms), True
-    return tuple(terms), False
-
-
-def _generated(L: LieAlgebra, derived: dict[int, dict[int, int]],
-               terms: Sequence[dict[int, dict[int, int]]]) -> bool:
-    """Whether L^2 = [C, C] + T_3, for C the e_c off ``derived``'s pivots.
-
-    ``terms`` are the echelons of T_2 = L^2, T_3, ... of a generator walk
-    that reached 0.  When every stored bracket has both indices in C,
-    the brackets, which span L^2, lie in [C, C]; that covers L^2 = 0.
-    """
+    if not derived:
+        return ((derived,) if L.dim else ()), True
+    ad = _adjoint(L.dim, L.brackets)
     cc = [coeffs for i, j, coeffs in L.brackets if i not in derived and j not in derived]
-    return len(cc) == len(L.brackets) or len(_echelon([*terms[1].values(), *cc])) == len(derived)
+    layers = [derived if len(cc) == len(L.brackets) else _echelon(cc)]
+    while layers[-1] and len(layers) <= len(derived):
+        layers.append(_echelon(w for v in layers[-1].values()
+                               for w in _integer_brackets(ad, v.items(), derived).values()))
+    if not layers[-1]:
+        terms = [layers[-1]]
+        for layer in reversed(layers[1:-1]):
+            terms.append(_echelon(layer.values(), dict(terms[-1])))
+        if layers[0] is derived or (
+                len(_echelon(layers[0].values(), dict(terms[-1]))) == len(derived)):
+            return (derived, *reversed(terms)), True
+    terms = []
+    size, nxt = L.dim, derived
+    while size and len(nxt) < size:
+        terms.append(nxt)
+        size = len(nxt)
+        nxt = _echelon(w for v in nxt.values() for w in _integer_brackets(ad, v.items()).values())
+    return tuple(terms), not size
 
 
 def lower_central_series(L: LieAlgebra) -> SeriesReport:

@@ -157,11 +157,14 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={nnz}, denom={self.denom})"
 
 
-def _echelon(vectors: Iterable[IntVector]) -> dict[int, dict[int, int]]:
+def _echelon(vectors: Iterable[IntVector],
+             echelon: dict[int, dict[int, int]] | None = None) -> dict[int, dict[int, int]]:
     """Row echelon form of sparse integer vectors by fraction-free elimination.
 
     Returns the echelon keyed by pivot index; its size is the exact rank
     and its vectors span what the input spans (they are not reduced).
+    Given an ``echelon``, the vectors are added to it in place, and it
+    is returned spanning both; its stored vectors are not changed.
 
     Vectors are taken fewest nonzeros first, the Markowitz choice that
     keeps fill-in low.  Each is reduced against the echelon built so
@@ -169,7 +172,8 @@ def _echelon(vectors: Iterable[IntVector]) -> dict[int, dict[int, int]]:
     pivot is cancelled by integer cross-multiplication, and the content
     (gcd of the entries) is divided out so the integers stay small.
     """
-    echelon: dict[int, dict[int, int]] = {}
+    if echelon is None:
+        echelon = {}
     for v in sorted(vectors, key=len):
         v = dict(v)
         while v:

@@ -119,7 +119,7 @@ class MultiplierReport(NamedTuple):
     rank_d3: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def schur_multiplier_dim(L: LieAlgebra) -> MultiplierReport:
     """dim M(L) = C(n,2) - rank(d2) - rank(d3) on ``lcs_adapted(L)``, with t and s filled in."""
     n = L.dim

@@ -6,10 +6,11 @@ the original (sympy over QQ, on boundaries built here from the dense
 table), that the basis is adapted, and that catalog tables skip the
 transport.  ``center`` takes its kernel on the adapted table too; it is
 checked against ``table_center``, the kernel on the original table.
-The series walk brackets only with the generators C of L/L^2: the
-tests count the vectors it passes to the echelon kernel, and check that
-its generation test, L^2 = [C, C] + [L^2, C], accepts every nilpotent
-algebra and rejects the non-nilpotent ones whose walk reaches 0.  Every
+The series walk brackets only the newest layer S_j with the generators
+C of L/L^2: the tests count the vectors it passes to the echelon
+kernel, and check that its certificate, the sum of the layers having
+L^2's size, accepts every nilpotent algebra without the walk over every
+e_t and rejects the non-nilpotent ones whose layers reach 0.  Every
 vector any caller passes to the echelon kernel is checked for explicit
 zero entries.
 """
@@ -186,8 +187,8 @@ def _non_nilpotent_originals():
     echelon of the stored brackets, decides where it stops: at once for
     the perfect sl2 and so(3), one term later for the others.  On
     sl2 + A(1) and so(3) + A(2) the generators are the abelian summand,
-    whose brackets vanish, so the walk over them reaches 0 and only the
-    generation test sends ``_series`` on to the walk over every e_t.
+    whose brackets vanish, so their layers reach 0 at once and only the
+    size of their sum sends ``_series`` on to the walk over every e_t.
     """
     sl2, so3 = NON_NILPOTENT["sl2"], NON_NILPOTENT["so3"]
     return {**NON_NILPOTENT,
@@ -238,17 +239,32 @@ def _strictly_upper(k):
                               for a, b in combinations(units, 2) if a[1] == b[0]])
 
 
-def _generation_verdicts(monkeypatch):
-    """The list that collects each verdict of ``liealg._generated`` from now on."""
-    verdicts = []
-    generated = liealg._generated
+def _layer_walk(monkeypatch, alg):
+    """How a cold ``_series(alg)`` went: (the ``skip`` of each bracket it formed, the size of each echelon it extended).
 
-    def recorded(L, derived, terms):
-        verdicts.append(generated(L, derived, terms))
-        return verdicts[-1]
+    The layer walk skips L^2's pivots in every bracket and extends an
+    echelon only once a layer is 0; the walk over every e_t skips none.
+    """
+    skips, extended = [], []
+    brackets, echelon = liealg._integer_brackets, liealg._echelon
 
-    monkeypatch.setattr(liealg, "_generated", recorded)
-    return verdicts
+    def recorded_brackets(ad, v, skip=()):
+        skips.append(skip)
+        return brackets(ad, v, skip)
+
+    def recorded_echelon(vectors, base=None):
+        out = echelon(vectors, base)
+        if base is not None:
+            extended.append(len(out))
+        return out
+
+    monkeypatch.setattr(liealg, "_integer_brackets", recorded_brackets)
+    monkeypatch.setattr(liealg, "_echelon", recorded_echelon)
+    liealg._series.cache_clear()
+    liealg._series(alg)
+    monkeypatch.setattr(liealg, "_integer_brackets", brackets)
+    monkeypatch.setattr(liealg, "_echelon", echelon)
+    return skips, extended
 
 
 def _between_generators(alg):
@@ -257,20 +273,23 @@ def _between_generators(alg):
     return all(i not in derived and j not in derived for i, j, _ in alg.brackets)
 
 
-def test_certificate_decides_the_generator_walks_that_reach_zero(monkeypatch):
-    verdicts = _generation_verdicts(monkeypatch)
+def test_layer_sum_decides_the_layer_walks_that_reach_zero(monkeypatch):
+    # the generators of sl2 + A(1) and so(3) + A(2) span the abelian
+    # summand, so S_2 = [C, C] = 0 falls short of L^2, and only the walk
+    # over every e_t finds the series
     originals = _non_nilpotent_originals()
     for label, dims in (("sl2+A(1)", (4, 3)), ("so3+A(2)", (5, 3))):
-        verdicts.clear()
-        liealg._series.cache_clear()
-        rep = lower_central_series(originals[label])
+        alg = originals[label]
+        skips, extended = _layer_walk(monkeypatch, alg)
+        rep = lower_central_series(alg)
         assert (rep.lcs_dims, rep.nilpotency_class) == (dims, None)
-        assert verdicts == [False]
+        assert extended and extended[-1] < rep.derived_dim
+        assert () in skips
 
-    # H(2) + A(1) brackets only generators, so the test answers without
-    # an echelon; the strictly upper 4 x 4 and 5 x 5 matrices bracket
-    # vectors of L^2 too ([E_02, E_23] = E_03), and [L^2, L^2] != 0 in
-    # the 5 x 5 ones, so the test echelons T_3 with [C, C]
+    # H(2) + A(1) brackets only generators, so S_2 is L^2 and its size is
+    # not tested again; the strictly upper 4 x 4 and 5 x 5 matrices
+    # bracket vectors of L^2 too ([E_02, E_23] = E_03), so S_2 + T_3 is
+    # echeloned once more, and [L^2, L^2] != 0 in the 5 x 5 ones
     upper = _strictly_upper(5)
     for alg, dims, short in (
             (direct_sum(heisenberg(2).algebra, abelian(1).algebra), (6, 1, 0), True),
@@ -278,24 +297,23 @@ def test_certificate_decides_the_generator_walks_that_reach_zero(monkeypatch):
             (upper, (10, 6, 3, 1, 0), False),
             (change_of_basis(upper, random_unimodular(10, Lcg(4), steps=120)), (10, 6, 3, 1, 0),
              False)):
-        verdicts.clear()
-        liealg._series.cache_clear()
+        skips, extended = _layer_walk(monkeypatch, alg)
         rep = lower_central_series(alg)
         assert rep.lcs_dims == tuple(len(t) for t in lower_central_terms(alg)) == dims
-        assert verdicts == [True]
+        assert () not in skips
+        # one extension per layer past S_2, and one for the sum with S_2
+        assert len(extended) == rep.nilpotency_class - (2 if short else 1)
         assert _between_generators(alg) is short
 
 
-def test_generation_test_accepts_every_nilpotent_algebra(monkeypatch):
+def test_layer_walk_accepts_every_nilpotent_algebra(monkeypatch):
     # a wrong rejection would leave every output as it is and only walk
-    # again over every e_t, so the verdicts themselves are checked
-    verdicts = _generation_verdicts(monkeypatch)
+    # again over every e_t, so the brackets it forms are checked
     cases = [c.algebra for c in build_population(4, 3, 7)] + _moved_filiforms()
     for alg in cases:
-        verdicts.clear()
-        liealg._series.cache_clear()
+        skips, _ = _layer_walk(monkeypatch, alg)
         assert lower_central_series(alg).is_nilpotent
-        assert verdicts == [True]
+        assert () not in skips
 
 
 def _echelon_inputs(monkeypatch, alg):
@@ -303,10 +321,10 @@ def _echelon_inputs(monkeypatch, alg):
     seen = []
     echelon = liealg._echelon
 
-    def recorded(vectors):
+    def recorded(vectors, base=None):
         vectors = list(vectors)
         seen.append(vectors)
-        return echelon(vectors)
+        return echelon(vectors, base)
 
     monkeypatch.setattr(liealg, "_echelon", recorded)
     liealg._series.cache_clear()
@@ -321,15 +339,16 @@ def _moved_filiforms():
 
 
 def test_series_walk_brackets_only_with_the_generators(monkeypatch):
-    # C(n,2) stored brackets for L^2, |C| brackets per vector of each
-    # term, and T_3 with at most C(|C|,2) brackets of generators for the
-    # generation test; the walk over every e_t passes 168 and 342 vectors here
-    for alg, bound in zip(_moved_filiforms(), (76, 125)):
+    # the layers of a filiform algebra are lines: C(n,2) stored brackets
+    # for L^2, the C(|C|,2) between generators for S_2, |C| brackets per
+    # vector of every layer but the last nonzero one, and one vector per
+    # layer to extend the terms from the zero term up; the walk over
+    # every e_t passes 188 and 360 vectors here
+    for alg, bound in zip(_moved_filiforms(), (45, 68)):
         n = alg.dim
         rep = lower_central_series(alg)
-        c = n - rep.derived_dim
-        assert bound == (n * (n - 1) // 2 + c * sum(rep.lcs_dims[1:]) + rep.lcs_dims[2]
-                         + c * (c - 1) // 2)
+        c, d = n - rep.derived_dim, rep.derived_dim
+        assert bound == n * (n - 1) // 2 + c * (c - 1) // 2 + c * (d - 1) + d
         assert sum(map(len, _echelon_inputs(monkeypatch, alg))) <= bound
 
 
@@ -353,12 +372,12 @@ def test_no_caller_passes_an_explicit_zero_to_the_echelon(monkeypatch, tmp_path,
     echelon = linalg._echelon
     seen, zeros = [], []
 
-    def checked(vectors):
+    def checked(vectors, base=None):
         vectors = list(vectors)
         seen.append(len(vectors))
         zeros.extend(v for v in vectors
                      if not all(x for _, x in (v.items() if isinstance(v, dict) else v)))
-        return echelon(vectors)
+        return echelon(vectors, base)
 
     for module in (linalg, liealg, multiplier):
         monkeypatch.setattr(module, "_echelon", checked)

@@ -3,13 +3,17 @@
 Draws go catalog entry -> optional direct sum with a second entry ->
 optional central quotient -> seeded unimodular base change, the steps
 that build the verification population.  A base change must keep n,
-the lower central series, dim Z and dim M, and every central ideal must
-satisfy the central-quotient inequality.  Two draws whose dims sum to
+the lower central series, dim Z and dim M; the series and the basis
+adapted to it must match the dense Fraction reference of
+``fraction_reference``; and every central ideal must satisfy the
+central-quotient inequality.  Two draws whose dims sum to
 at most 10 must satisfy the Kunneth formula, t must vanish exactly on
 abelian draws, and every nilpotent draw must meet the defect bounds.
 Runs derandomized with bounded examples, so the suite stays
 deterministic and fast; skipped without hypothesis.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from liemult.catalog import standard_entries
-from liemult.liealg import center, direct_sum, lower_central_series
+from liemult.liealg import center, direct_sum, lcs_basis, lower_central_series
 from liemult.multiplier import (
     check_defect_bounds,
     check_kunneth,
@@ -31,6 +35,8 @@ from liemult.randgen import (
     random_central_subspace,
     random_change_of_basis,
 )
+
+from fraction_reference import lower_central_terms, reduced_rows
 
 CATALOG = standard_entries(4, 3)
 SUM_DIM_CAP = 10  # as the population's direct sums
@@ -61,6 +67,20 @@ def _invariants(alg):
 def test_base_change_keeps_the_invariants(case):
     alg, moved = case
     assert _invariants(moved) == _invariants(alg)
+
+
+@PROFILE
+@given(closures())
+def test_series_and_adapted_basis_match_the_fraction_reference(case):
+    # the last dim L^k vectors of the adapted basis span L^k, which the
+    # reference spans by Gauss-Jordan from the brackets with every e_j
+    for alg in case:
+        n = alg.dim
+        terms = lower_central_terms(alg)
+        assert lower_central_series(alg).lcs_dims == tuple(len(t) for t in terms)
+        rows = [tuple(Fraction(dict(v).get(c, 0)) for c in range(n)) for v in lcs_basis(alg)]
+        for term in terms:
+            assert reduced_rows(rows[n - len(term):]) == term
 
 
 @PROFILE

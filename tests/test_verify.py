@@ -2,7 +2,7 @@
 
 import pytest
 
-from liemult import liealg, verify
+from liemult import liealg, multiplier, verify
 from liemult.catalog import standard_entries
 from liemult.liealg import center
 from liemult.linalg import _echelon
@@ -82,6 +82,17 @@ def test_quotient_suite_computes_no_center_of_a_quotient():
     clear_caches()
     assert run_suite("quotient").passed
     assert liealg.center.cache_info().misses == 24
+
+
+def test_structure_caches_are_bounded_above_what_a_suite_holds():
+    # the classification suite fills them most, with about 500 algebras
+    # at its default caps: a bound evicts nothing a suite asks for again
+    clear_caches()
+    assert run_suite("classification").passed
+    for cache in (liealg.center, liealg._series, multiplier.schur_multiplier_dim):
+        info = cache.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize == info.misses < info.maxsize
 
 
 def test_coordinate_central_subsets_pick_the_central_unit_vectors():
