@@ -528,7 +528,8 @@ def change_of_basis(L: LieAlgebra, p: Matrix) -> LieAlgebra:
     P must be invertible (SingularMatrix otherwise).  All isomorphism
     invariants are preserved.  With P = Q/q for an integer matrix Q,
     [f_i, f_j] is [g_i, g_j] / q^2 on the integer basis g_i = q f_i, so
-    the constants on the f's are those on the g's over q.
+    the constants on the f's are those on the g's over q: with
+    Q^-1 = R/d, ``_transport`` gets the one denominator q * d.
     """
     n = L.dim
     if p.rows != n or p.cols != n:
@@ -537,18 +538,21 @@ def change_of_basis(L: LieAlgebra, p: Matrix) -> LieAlgebra:
         )
     q = lcm(*(x.denominator for x in p.entries))
     rows = [[x.numerator * (q // x.denominator) for x in row] for row in p.iter_rows()]
-    return _transport(L, rows, _inverse(rows), q)
+    d, r_rows = _inverse(rows)
+    return _transport(L, rows, (q * d, r_rows))
 
 
 def _transport(L: LieAlgebra, rows: Sequence[Sequence[int]],
-               inverse: tuple[int, Sequence[Mapping[int, int]]], q: int = 1) -> LieAlgebra:
-    """L on the basis g_i = sum_j Q[i][j] e_j of an invertible integer Q, constants over q.
+               inverse: tuple[int, Sequence[Mapping[int, int]]]) -> LieAlgebra:
+    """L on the basis g_i = sum_j Q[i][j] e_j of an invertible integer Q.
 
     [g_i, g_j] = sum over the stored (a, b) of
     (Q_ia Q_jb - Q_ib Q_ja) [e_a, e_b], and the coordinates on the g's
-    are that times Q^-1 = R/d, which the caller gives as ``inverse`` =
-    (d, R), R in sparse rows.  So ``_combine`` first multiplies each
-    stored bracket by R, and every constant ends up over q * d * denom.
+    are that times Q^-1.  The caller gives ``inverse`` = (d, R), R in
+    sparse rows, with R/d = Q^-1, or with d = q * d' for R/d' = Q^-1,
+    which writes L on the basis g_i / q instead.  So ``_combine`` first
+    multiplies each stored bracket by R, and every constant ends up
+    over d * denom.
     """
     n = L.dim
     d = inverse[0]
@@ -567,4 +571,4 @@ def _transport(L: LieAlgebra, rows: Sequence[Sequence[int]],
                         acc[t] = acc.get(t, 0) + s * y
             if acc:
                 mapping[(i, j)] = acc.items()
-    return _make(n, q * d * L.denom, mapping)
+    return _make(n, d * L.denom, mapping)

@@ -11,8 +11,8 @@ cost rather than the C(n,2) x C(n,3) shape.  Both ranks are isomorphism
 invariants, so the complex is built on the algebra rewritten on a basis
 adapted to its lower central series (``liealg.lcs_adapted``), where
 [L^i, L^j] ⊆ L^(i+j) leaves most structure constants zero and d3 far
-sparser than on a dense table.  Column (i,j,k) of d2 . d3 is, up to
-sign, the Jacobi defect of (e_i, e_j, e_k), so ``first_jacobi_violation``
+sparser than on a dense table.  Column (i,j,k) of d2 . d3 is exactly
+the Jacobi defect of (e_i, e_j, e_k), so ``first_jacobi_violation``
 guards the complex on the adapted table it is built on.
 
 Also provided as executable checks with witnesses: additivity of the
@@ -126,7 +126,9 @@ def schur_multiplier_dim(L: LieAlgebra) -> MultiplierReport:
     adapted = lcs_adapted(L)
     bad = first_jacobi_violation(adapted)
     if bad is not None:
-        raise ComplexNotExact(f"d2 . d3 is nonzero: Jacobi defect at {bad[0]} of the adapted table")
+        i, j, k = bad[0]
+        raise ComplexNotExact(f"d2 . d3 is nonzero: Jacobi defect at (e{i + 1},e{j + 1},e{k + 1})"
+                              " on the lcs-adapted basis")
     d2 = ce_d2(adapted)
     d3 = ce_d3(adapted)
     r2 = rank(d2)

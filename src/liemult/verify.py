@@ -1,16 +1,17 @@
 """Named verification suites behind the ``verify`` CLI command.
 
-Each suite turns a batch of checks into (case id, pass/fail, detail)
-triples sorted by case id, so a run with the same flags and seed prints
-byte-identical reports.  The randomized population is the catalog
-closed under direct sums, seeded unimodular base changes and seeded
-central quotients; see :mod:`liemult.randgen` for the generator.
+Each suite is a generator of (case id, pass/fail, detail) triples;
+:func:`run_suite` sorts them by case id into a :class:`SuiteReport`, so
+a run with the same flags and seed prints byte-identical reports.  The
+randomized population is the catalog closed under direct sums, seeded
+unimodular base changes and seeded central quotients; see
+:mod:`liemult.randgen` for the generator.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import catalog
 from .classifier import AbelianAlgebra, Status, classify
@@ -106,26 +107,20 @@ def build_population(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
     return tuple(cases)
 
 
-def _case(case_id: str, ok: bool, detail: str = "") -> CaseResult:
-    return CaseResult(case_id, bool(ok), detail)
-
-
-def run_formulas(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K) -> SuiteReport:
+def run_formulas(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K) -> Iterator[CaseResult]:
     """Closed-form multiplier dimensions against the homology computation."""
-    results = []
     for m in range(1, 6):
         want = 2 if m == 1 else 2 * m * m - m - 1
         got = schur_multiplier_dim(catalog.heisenberg(m).algebra).dim_m
-        results.append(_case(f"heisenberg-dimM[H({m})]", got == want,
-                             f"dimM={got} expected={want}"))
+        yield CaseResult(f"heisenberg-dimM[H({m})]", got == want, f"dimM={got} expected={want}")
     for n in range(0, 9):
         rep = schur_multiplier_dim(catalog.abelian(n).algebra)
         want = n * (n - 1) // 2
-        results.append(_case(
+        yield CaseResult(
             f"abelian-baseline[A({n})]",
             rep.dim_m == want and rep.t == 0,
             f"dimM={rep.dim_m} expected={want} t={rep.t}",
-        ))
+        )
     for e in catalog.standard_entries(max_m, max_k):
         rep = schur_multiplier_dim(e.algebra)
         ok = rep.dim_m == e.expected_dim_m
@@ -133,19 +128,18 @@ def run_formulas(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K) -> Suit
         if e.expected_s is not None:
             ok = ok and rep.s == e.expected_s
             detail += f" s={rep.s} expected_s={e.expected_s}"
-        results.append(_case(f"catalog-pin[{e.label}]", ok, detail))
+        yield CaseResult(f"catalog-pin[{e.label}]", ok, detail)
     for m in range(1, 5):
         for k in range(0, 5):
             got = schur_multiplier_dim(
                 catalog.heisenberg_plus_abelian(m, k).algebra).dim_m
             want = (2 if m == 1 else 2 * m * m - m - 1) + k * (k - 1) // 2 + 2 * m * k
-            results.append(_case(f"hplusa-closed-form[{m},{k}]", got == want,
-                                 f"dimM={got} expected={want}"))
-    return _report("formulas", results)
+            yield CaseResult(f"hplusa-closed-form[{m},{k}]", got == want,
+                             f"dimM={got} expected={want}")
 
 
 def run_bounds(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
-               seed: int = DEFAULT_SEED) -> SuiteReport:
+               seed: int = DEFAULT_SEED) -> Iterator[CaseResult]:
     """Per population case, from one :func:`check_defect_bounds` record:
     t >= 0, t = 0 iff abelian, s >= 0, the dim-L^2 bound, and the Lemma
     (s = 2 implies dim L^2 <= 2)."""
@@ -153,8 +147,8 @@ def run_bounds(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
     # the 500-case floor is pinned to the default caps; smaller sweeps
     # are legitimate but cannot satisfy it
     required = MIN_POPULATION if (max_m >= DEFAULT_MAX_M and max_k >= DEFAULT_MAX_K) else 0
-    results = [_case("population-size", len(population) >= required,
-                     f"cases={len(population)} required>={required}")]
+    yield CaseResult("population-size", len(population) >= required,
+                     f"cases={len(population)} required>={required}")
     for case in population:
         dbc = check_defect_bounds(case.algebra)
         t_iff = (dbc.t == 0) == dbc.abelian
@@ -166,25 +160,22 @@ def run_bounds(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
             detail += " [t=0 abelian equivalence fails]"
         if not lemma:
             detail += " [s=2 with dim L^2 >= 3]"
-        results.append(_case(f"bounds[{case.case_id}]", ok, detail))
-    return _report("bounds", results)
+        yield CaseResult(f"bounds[{case.case_id}]", ok, detail)
 
 
-def run_kunneth() -> SuiteReport:
+def run_kunneth() -> Iterator[CaseResult]:
     """Direct-sum additivity, both sides computed independently."""
     pool = [catalog.abelian(k) for k in range(4)]
     pool += [catalog.heisenberg(m) for m in range(1, 4)]
     pool += [catalog.l_3_4_1_4(), catalog.l_4_5_2_4()]
-    results = []
     for i, e1 in enumerate(pool):
         for e2 in pool[i:]:
             chk = check_kunneth(e1.algebra, e2.algebra)
-            results.append(_case(
+            yield CaseResult(
                 f"kunneth[{e1.label}|{e2.label}]", chk.holds,
                 f"lhs={chk.lhs} rhs={chk.rhs}"
                 f"={chk.dim_m_left}+{chk.dim_m_right}+{chk.tensor_dim}",
-            ))
-    return _report("kunneth", results)
+            )
 
 
 def _coordinate_central_subsets(L: LieAlgebra) -> list[tuple[tuple[int, ...], Subspace]]:
@@ -203,27 +194,21 @@ def _coordinate_central_subsets(L: LieAlgebra) -> list[tuple[tuple[int, ...], Su
 
 
 def run_quotient(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
-                 seed: int = DEFAULT_SEED) -> SuiteReport:
+                 seed: int = DEFAULT_SEED) -> Iterator[CaseResult]:
     """Central-quotient inequality over coordinate and random central ideals."""
     rng = Lcg(seed)
-    results = []
     for e in catalog.standard_entries(max_m, max_k):
         L = e.algebra
         for picked, k in _coordinate_central_subsets(L):
             label = ",".join(f"e{i + 1}" for i in picked) or "0"
             chk = check_quotient_bound(L, k)
-            results.append(_case(
-                f"quotient-bound[{e.label}|coord:{label}]", chk.holds,
-                f"{chk.lhs}<={chk.rhs}",
-            ))
+            yield CaseResult(f"quotient-bound[{e.label}|coord:{label}]", chk.holds,
+                             f"{chk.lhs}<={chk.rhs}")
         for trial in range(20):
             k = random_central_subspace(L, rng)
             chk = check_quotient_bound(L, k)
-            results.append(_case(
-                f"quotient-bound[{e.label}|rand:{trial:02d}]", chk.holds,
-                f"dimK={k.dim} {chk.lhs}<={chk.rhs}",
-            ))
-    return _report("quotient", results)
+            yield CaseResult(f"quotient-bound[{e.label}|rand:{trial:02d}]", chk.holds,
+                             f"dimK={k.dim} {chk.lhs}<={chk.rhs}")
 
 
 def _classify_matches(L: LieAlgebra, entry: catalog.CatalogEntry) -> tuple[bool, int, str]:
@@ -236,21 +221,19 @@ def _classify_matches(L: LieAlgebra, entry: catalog.CatalogEntry) -> tuple[bool,
 
 
 def run_classification(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
-                       max_n: int = DEFAULT_MAX_N, seed: int = DEFAULT_SEED) -> SuiteReport:
+                       max_n: int = DEFAULT_MAX_N,
+                       seed: int = DEFAULT_SEED) -> Iterator[CaseResult]:
     """The s = 0, 1, 2 characterizations plus stability and sweep checks."""
-    results = []
-
     for n in range(3, max_n + 1):
         e = catalog.heisenberg_plus_abelian(1, n - 3)
         ok, s, detail = _classify_matches(e.algebra, e)
-        results.append(_case(f"s0-series[n={n}]", s == 0 and ok,
-                             f"s={s} {detail}"))
+        yield CaseResult(f"s0-series[n={n}]", s == 0 and ok, f"s={s} {detail}")
 
     l4524 = catalog.l_4_5_2_4()
     dim_m = schur_multiplier_dim(l4524.algebra).dim_m
     ok, s, detail = _classify_matches(l4524.algebra, l4524)
-    results.append(_case("s1[L4524]", s == 1 and dim_m == 6 and ok,
-                         f"s={s} dimM={dim_m} {detail}"))
+    yield CaseResult("s1[L4524]", s == 1 and dim_m == 6 and ok,
+                     f"s={s} dimM={dim_m} {detail}")
 
     mt_families = [catalog.l_3_4_1_4(), catalog.l4524_plus_a1()]
     mt_families += [catalog.heisenberg_plus_abelian(m, k)
@@ -259,22 +242,20 @@ def run_classification(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
     rng = Lcg(seed)
     for e in mt_families:
         ok, s, detail = _classify_matches(e.algebra, e)
-        results.append(_case(f"mt[{e.label}]", s == 2 and ok, f"s={s} {detail}"))
+        yield CaseResult(f"mt[{e.label}]", s == 2 and ok, f"s={s} {detail}")
         for trial in range(10):
             moved = random_change_of_basis(e.algebra, rng)
             ok, _, detail = _classify_matches(moved, e)
-            results.append(_case(f"mt-stability[{e.label},{trial}]", ok, detail))
+            yield CaseResult(f"mt-stability[{e.label},{trial}]", ok, detail)
 
     for case in build_population(max_m, max_k, seed):
         try:
             res = classify(case.algebra)
         except NotNilpotent:
-            results.append(_case(f"classify-sweep[{case.case_id}]", True,
-                                 "skipped: not nilpotent"))
+            yield CaseResult(f"classify-sweep[{case.case_id}]", True, "skipped: not nilpotent")
             continue
         except AbelianAlgebra:
-            results.append(_case(f"classify-sweep[{case.case_id}]", True,
-                                 "skipped: abelian"))
+            yield CaseResult(f"classify-sweep[{case.case_id}]", True, "skipped: abelian")
             continue
         fp = res.fingerprint
         ok = res.status is not Status.THEOREM_VIOLATION
@@ -285,15 +266,10 @@ def run_classification(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
         detail = f"s={fp.s} status={res.status.value}"
         if res.family:
             detail += f" family={res.family}{res.params if res.params else ''}"
-        results.append(_case(f"classify-sweep[{case.case_id}]", ok, detail))
-    return _report("classification", results)
+        yield CaseResult(f"classify-sweep[{case.case_id}]", ok, detail)
 
 
-def _report(suite: str, results: list[CaseResult]) -> SuiteReport:
-    return SuiteReport(suite, tuple(sorted(results, key=lambda r: r.case_id)))
-
-
-SUITES: dict[str, Callable[..., SuiteReport]] = {
+SUITES: dict[str, Callable[..., Iterator[CaseResult]]] = {
     "formulas": run_formulas,
     "bounds": run_bounds,
     "kunneth": run_kunneth,
@@ -314,4 +290,5 @@ def run_suite(name: str, max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     caps = {"max_m": max_m, "max_k": max_k, "max_n": max_n, "seed": seed}
-    return SUITES[name](**{flag: caps[flag] for flag in SUITE_FLAGS[name]})
+    cases = SUITES[name](**{flag: caps[flag] for flag in SUITE_FLAGS[name]})
+    return SuiteReport(name, tuple(sorted(cases, key=lambda r: r.case_id)))

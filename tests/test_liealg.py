@@ -31,6 +31,7 @@ from liemult.liealg import (
 )
 from liemult.lieconst import parse, render
 from liemult.linalg import Matrix, SingularMatrix, Subspace
+from liemult.multiplier import ce_d2, ce_d3
 from liemult.randgen import (
     Lcg,
     random_central_quotient,
@@ -365,6 +366,30 @@ def test_first_jacobi_violation_matches_brute_force_scan():
         invalid += expected is not None
     # both outcomes are exercised in earnest
     assert 300 < invalid < 900
+
+
+def test_boundary_composition_is_the_jacobi_defect():
+    # column (i,j,k) of d2 . d3 is [[e_i,e_j],e_k] - [[e_i,e_k],e_j] +
+    # [[e_j,e_k],e_i], the Jacobi defect itself, sign included
+    rng = Lcg(41)
+    invalid = 0
+    for _ in range(300):
+        alg = _random_table(rng)
+        d2, d3 = ce_d2(alg), ce_d3(alg)
+        scale = alg.denom * alg.denom
+        first = None
+        for col, triple in enumerate(combinations(range(alg.dim), 3)):
+            acc = {}
+            for r, x in d3.columns.get(col, {}).items():
+                for m, y in d2.columns.get(r, {}).items():
+                    acc[m] = acc.get(m, 0) + x * y
+            defect = tuple(Fraction(acc.get(m, 0), scale) for m in range(alg.dim))
+            assert defect == jacobi_defect(alg, *triple)
+            if first is None and any(defect):
+                first = triple, defect
+        assert first_jacobi_violation(alg) == first
+        invalid += first is not None
+    assert 75 < invalid < 225
 
 
 def _bracket_data(alg):

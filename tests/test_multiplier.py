@@ -241,7 +241,8 @@ def test_complex_not_exact_flags_invalid_table():
     # bypass validation to plant a Jacobi-violating table; the boundary
     # composition check must catch it
     bad = from_fractions(3, {(0, 1): vector([0, 0, 1]), (0, 2): vector([1, 0, 0])})
-    with pytest.raises(ComplexNotExact):
+    with pytest.raises(ComplexNotExact,
+                       match=r"Jacobi defect at \(e1,e2,e3\) on the lcs-adapted basis$"):
         schur_multiplier_dim.__wrapped__(bad)
 
 

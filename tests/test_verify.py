@@ -61,6 +61,7 @@ def test_all_suites_pass_at_small_caps():
         report = run_suite(name, max_m=2, max_k=1, max_n=5, seed=7)
         failing = [r for r in report.results if not r.ok]
         assert not failing, (name, failing[:5])
+        assert all(type(r.ok) is bool for r in report.results), name
 
 
 def test_reports_are_sorted_and_repeatable():
