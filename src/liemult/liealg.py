@@ -17,8 +17,8 @@ scans the original table only to name the first failing triple of an
 invalid one.  Algebras derived from valid ones (sums, quotients by
 ideals, base changes) are valid by construction, and the multiplier
 re-checks only ``lcs_adapted(L)``.  ``center`` takes its kernel there
-too, so a request shares the one transport, which ``lcs_adapted`` keeps
-in its own 32-entry cache.
+too, so a request shares the one adapted table, which ``lcs_adapted``
+keeps in its own 32-entry cache.
 
 The Jacobi check, the center, the lower central series, the ideal test
 and the boundary maps of :mod:`liemult.multiplier` all read the stored
@@ -47,6 +47,8 @@ only the stored brackets are projected.  A base change transports only
 the stored brackets, in integers, and multiplies them by the inverse
 read from the reduced echelon of [Q | I], or, for the seeded base
 changes of :mod:`liemult.randgen`, built exactly by their generator.
+``lcs_adapted`` needs no such transport: L^2 holds every bracket, so it
+inverts only the k x k block of L^2's pivots in its basis, k = dim L^2.
 """
 
 from __future__ import annotations
@@ -393,7 +395,7 @@ def _series(L: LieAlgebra) -> tuple[tuple[dict[int, dict[int, int]], ...], bool]
         return ((derived,) if L.dim else ()), True
     ad = _adjoint(L.dim, L.brackets)
     cc = [coeffs for i, j, coeffs in L.brackets if i not in derived and j not in derived]
-    layers = [derived if len(cc) == len(L.brackets) else _echelon(cc)]
+    layers = [derived if len(cc) == len(L.brackets) else _echelon(cc, limit=len(derived))]
     while layers[-1] and len(layers) <= len(derived):
         layers.append(_echelon(w for v in layers[-1].values()
                                for w in _integer_brackets(ad, v.items(), derived).values()))
@@ -459,15 +461,30 @@ def lcs_adapted(L: LieAlgebra) -> LieAlgebra:
     sum is in that case.  ``build``, ``center`` and
     ``schur_multiplier_dim`` all ask for it, so the last 32 results are
     cached, and a hit may return an equal copy of L in place of L itself.
+
+    The basis is g unit vectors e_c, then k vectors u spanning L^2.  A
+    vector of L^2, as each stored bracket is, has as coordinates its entries
+    at L^2's pivots times the inverse of the u's k x k block there: a pair
+    of e_c is such an image, and a pair with a u a sum of ``_integer_brackets``.
     """
     basis = lcs_basis(L)
     if all(len(v) == 1 for v in basis):
         return L
-    rows = [[0] * L.dim for _ in basis]
-    for row, v in zip(rows, basis):
-        for c, x in v:
-            row[c] = x
-    return _transport(L, rows, _inverse(rows))
+    g = L.dim - len(_series(L)[0][0])
+    gens = {v[0][0]: a for a, v in enumerate(basis[:g])}
+    pivots = [v[0][0] for v in basis[g:]]
+    d, r = _inverse([[dict(v).get(p, 0) for p in pivots] for v in basis[g:]])
+    coords = {p: [(g + b, y) for b, y in row.items()] for p, row in zip(pivots, r)}
+    images = [(a, b, _combine([(m, x) for m, x in coeffs if m in coords], coords).items())
+              for a, b, coeffs in L.brackets]
+    mapping = {(gens[a], gens[b]): image for a, b, image in images if a in gens and b in gens}
+    ad = _adjoint(L.dim, images)
+    for b, u in enumerate(basis[g:], g):
+        # out[t] is [e_t, u]; so [f_a, u] = sum over t of f_a[t] out[t]
+        out = {t: w.items() for t, w in _integer_brackets(ad, [(m, -x) for m, x in u]).items()}
+        for a, v in enumerate(basis[:b]):
+            mapping[(a, b)] = _combine([(t, x) for t, x in v if t in out], out).items()
+    return _make(L.dim, d * L.denom, mapping)
 
 
 def is_ideal(L: LieAlgebra, s: Subspace) -> bool:

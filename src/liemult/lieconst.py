@@ -23,6 +23,8 @@ from math import gcd
 
 from .liealg import LieAlgebra, build
 
+MAX_DIM = 10**5  # the largest accepted ``dim N``: a basis of n vectors is built
+
 _DIM_RE = re.compile(r"dim\s+(\d+)\s*$")
 _LHS_RE = re.compile(r"\[\s*e(\d+)\s*,\s*e(\d+)\s*\]\s*=\s*")
 # one term: sign, numerator, denominator and basis index, each optional
@@ -89,7 +91,8 @@ def _parse_terms(rhs: str, lineno: int, offset: int, dim: int) -> dict[int, int 
 def parse(text: str) -> LieAlgebra:
     """Parse lieconst v1 text into a validated LieAlgebra.
 
-    Raises LieconstSyntaxError with line/column on malformed text;
+    Raises LieconstSyntaxError with line/column on malformed text or a
+    dimension above ``MAX_DIM``;
     IndexOutOfRange, DuplicateBracket and JacobiViolation propagate from
     validation.
     """
@@ -106,6 +109,8 @@ def parse(text: str) -> LieAlgebra:
             if not m:
                 _fail("expected 'dim N' header", lineno, col)
             dim = _int(m.group(1), lineno, col + m.start(1))
+            if dim > MAX_DIM:
+                _fail(f"dimension above {MAX_DIM}", lineno, col + m.start(1))
             continue
         m = _LHS_RE.match(stripped)
         if not m:

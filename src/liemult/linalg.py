@@ -158,7 +158,8 @@ class SparseMatrix:
 
 
 def _echelon(vectors: Iterable[IntVector],
-             echelon: dict[int, dict[int, int]] | None = None) -> dict[int, dict[int, int]]:
+             echelon: dict[int, dict[int, int]] | None = None,
+             limit: int | None = None) -> dict[int, dict[int, int]]:
     """Row echelon form of sparse integer vectors by fraction-free elimination.
 
     Returns the echelon keyed by pivot index; its size is the exact rank
@@ -171,10 +172,16 @@ def _echelon(vectors: Iterable[IntVector],
     far: its smallest index is the pivot, a stored vector with the same
     pivot is cancelled by integer cross-multiplication, and the content
     (gcd of the entries) is divided out so the integers stay small.
+
+    Given a ``limit``, no further vector is taken once the echelon holds
+    that many.  Stored vectors never change, so when ``limit`` bounds
+    the dimension of the span the result is the same echelon.
     """
     if echelon is None:
         echelon = {}
     for v in sorted(vectors, key=len):
+        if limit is not None and len(echelon) >= limit:
+            break
         v = dict(v)
         while v:
             p = min(v)
@@ -296,8 +303,8 @@ def _inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[dict[int, int]]]:
 
 
 def rank(m: SparseMatrix) -> int:
-    """Exact rank of a sparse matrix, by one fraction-free elimination of its columns."""
-    return len(_echelon(m.columns.values()))
+    """Exact rank of a sparse matrix, echeloning its columns until one vector per nonzero row."""
+    return len(_echelon(m.columns.values(), limit=len(set().union(*m.columns.values()))))
 
 
 class Subspace(NamedTuple):

@@ -252,8 +252,8 @@ def _layer_walk(monkeypatch, alg):
         skips.append(skip)
         return brackets(ad, v, skip)
 
-    def recorded_echelon(vectors, base=None):
-        out = echelon(vectors, base)
+    def recorded_echelon(vectors, base=None, limit=None):
+        out = echelon(vectors, base, limit)
         if base is not None:
             extended.append(len(out))
         return out
@@ -321,10 +321,10 @@ def _echelon_inputs(monkeypatch, alg):
     seen = []
     echelon = liealg._echelon
 
-    def recorded(vectors, base=None):
+    def recorded(vectors, base=None, limit=None):
         vectors = list(vectors)
         seen.append(vectors)
-        return echelon(vectors, base)
+        return echelon(vectors, base, limit)
 
     monkeypatch.setattr(liealg, "_echelon", recorded)
     liealg._series.cache_clear()
@@ -372,12 +372,12 @@ def test_no_caller_passes_an_explicit_zero_to_the_echelon(monkeypatch, tmp_path,
     echelon = linalg._echelon
     seen, zeros = [], []
 
-    def checked(vectors, base=None):
+    def checked(vectors, base=None, limit=None):
         vectors = list(vectors)
         seen.append(len(vectors))
         zeros.extend(v for v in vectors
                      if not all(x for _, x in (v.items() if isinstance(v, dict) else v)))
-        return echelon(vectors, base)
+        return echelon(vectors, base, limit)
 
     for module in (linalg, liealg, multiplier):
         monkeypatch.setattr(module, "_echelon", checked)
@@ -406,24 +406,39 @@ def _catalog_tables():
     return tables
 
 
+def _count_block_inverses(monkeypatch):
+    """Patch ``liealg._inverse`` and ``_transport``: the list gets the size of each matrix inverted.
+
+    ``lcs_adapted`` inverts only the k x k block of L^2's pivots, k =
+    dim L^2, and never calls the general transport.
+    """
+    calls = []
+    inverse = liealg._inverse
+
+    def counted(rows):
+        calls.append(len(rows))
+        return inverse(rows)
+
+    def transport(*args):
+        raise AssertionError("lcs_adapted called _transport")
+
+    monkeypatch.setattr(liealg, "_inverse", counted)
+    monkeypatch.setattr(liealg, "_transport", transport)
+    return calls
+
+
 def test_catalog_tables_skip_the_transport(monkeypatch):
     moved = change_of_basis(_filiform(6), random_unimodular(6, Lcg(5)))
-    calls = []
-    transport = liealg._transport
-
-    def counted(*args, **kw):
-        calls.append(args[0])
-        return transport(*args, **kw)
-
-    monkeypatch.setattr(liealg, "_transport", counted)
+    calls = _count_block_inverses(monkeypatch)
     for alg in _catalog_tables():
         assert lcs_adapted(alg) == alg
         schur_multiplier_dim.__wrapped__(alg)
     assert calls == []
 
-    # a base change that mixes the flag is transported, once
+    # a base change that mixes the flag is transported, once, through the
+    # inverse of the 4 x 4 block of L^2 = span(e3..e6)'s pivots
     schur_multiplier_dim.__wrapped__(moved)
-    assert calls == [moved]
+    assert calls == [lower_central_series(moved).derived_dim] == [4]
 
 
 def test_classify_request_transports_a_dense_table_once(monkeypatch, tmp_path, capsys):
@@ -436,18 +451,54 @@ def test_classify_request_transports_a_dense_table_once(monkeypatch, tmp_path, c
     assert lcs_adapted(moved) is not moved
     path = tmp_path / "moved.lie"
     path.write_text(render(moved))
-    calls = []
-    transport = liealg._transport
-
-    def counted(*args, **kw):
-        calls.append(args[0])
-        return transport(*args, **kw)
-
-    monkeypatch.setattr(liealg, "_transport", counted)
+    calls = _count_block_inverses(monkeypatch)
     clear_caches()
     assert main(["classify", str(path)]) == 0
     assert "status=" in capsys.readouterr().out
-    assert calls == [moved]
+    assert calls == [lower_central_series(moved).derived_dim] == [5]
+
+
+def _parent_formula(alg):
+    """``lcs_adapted`` as the general transport onto the rows of ``lcs_basis``, by their n x n inverse."""
+    n = alg.dim
+    basis = lcs_basis(alg)
+    if all(len(v) == 1 for v in basis):
+        return alg
+    rows = [[dict(v).get(c, 0) for c in range(n)] for v in basis]
+    return liealg._transport(alg, rows, linalg._inverse(rows))
+
+
+def _planted_defect():
+    from fraction_reference import from_fractions, vector
+
+    bad = from_fractions(3, {(0, 1): vector([0, 0, 1]), (0, 2): vector([1, 0, 0])})
+    return change_of_basis(bad, random_unimodular(3, Lcg(23)))
+
+
+def _reference_inputs():
+    cases = [(c.case_id, c.algebra) for c in build_population(4, 3, 7)]
+    bases = [(f"H({m})", heisenberg(m).algebra) for m in range(2, 6)]
+    bases += [(f"filiform({n})", _filiform(n)) for n in range(6, 11)]
+    bases += [("L4524", l_4_5_2_4().algebra)]
+    for seed, (label, alg) in enumerate(bases, 1300):
+        n = alg.dim
+        cases.append((f"{label}@dense",
+                      change_of_basis(alg, random_unimodular(n, Lcg(seed), steps=12 * n))))
+    cases += [(case.id, case.values[0]) for case in _moved() + _non_nilpotent_cases()]
+    return cases + [("planted-defect", _planted_defect())]
+
+
+def test_adapted_table_equals_the_general_transport():
+    # the block construction is exact: the same canonical table as the
+    # transport by the n x n inverse, on nilpotent, non-nilpotent and
+    # Jacobi-violating tables alike
+    moved = 0
+    for label, alg in _reference_inputs():
+        lcs_adapted.cache_clear()
+        expected = _parent_formula(alg)
+        assert lcs_adapted(alg) == expected, label
+        moved += expected is not alg
+    assert moved > 60
 
 
 def test_center_of_an_equal_copy_reads_its_own_basis():

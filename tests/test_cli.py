@@ -87,9 +87,11 @@ def test_exit_code_syntax_error(capsys, tmp_path):
     ("dim " + "9" * 5000 + "\n", 1, 5),
     ("dim 3\n[e1,e2] = " + "7" * 5000 + " e3\n", 2, 11),
     ("dim 3\n[e1,e" + "2" * 5000 + "] = e3\n", 2, 6),
-], ids=["dim", "coefficient", "index"])
+    ("dim 99999999999999999999\n", 1, 5),
+], ids=["dim", "coefficient", "index", "dim-above-limit"])
 def test_exit_code_oversized_literal(capsys, tmp_path, text, line, column):
-    # int() refuses decimal literals beyond the interpreter's digit limit
+    # int() refuses decimal literals beyond the interpreter's digit limit,
+    # and parse a dimension above lieconst.MAX_DIM
     path = tmp_path / "long.lie"
     path.write_text(text)
     code, out, err = run(capsys, "info", str(path))

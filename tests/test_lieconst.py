@@ -8,7 +8,7 @@ import pytest
 from liemult.catalog import abelian, heisenberg, l_3_4_1_4, standard_entries
 from liemult.liealg import IndexOutOfRange, JacobiViolation, build, change_of_basis, quotient
 from liemult import lieconst
-from liemult.lieconst import LieconstSyntaxError, _fail, _int, _parse_terms, parse, render
+from liemult.lieconst import MAX_DIM, LieconstSyntaxError, _fail, _int, _parse_terms, parse, render
 from liemult.linalg import Matrix
 from liemult.randgen import Lcg, random_change_of_basis, random_unimodular
 
@@ -65,6 +65,17 @@ def test_parse_syntax_errors_carry_position():
         parse("")
     with pytest.raises(LieconstSyntaxError):
         parse("dim 3\n[e1,e2] = 1/0 e3\n")
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("dim 99999999999999999999\n", 1, 5),
+    (f"# huge\n  dim   {MAX_DIM + 1}\n[e1,e2] = e3\n", 2, 9),
+])
+def test_parse_refuses_a_dimension_above_the_limit(text, line, column):
+    # refused at the number, before any basis of that length is built
+    with pytest.raises(LieconstSyntaxError, match=f"dimension above {MAX_DIM}$") as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
 
 
 def test_parse_domain_errors():

@@ -8,10 +8,12 @@ from liemult.linalg import (
     AmbientMismatch,
     Matrix,
     SingularMatrix,
+    SparseMatrix,
     Subspace,
     _echelon,
     _inverse,
     _kernel,
+    rank as sparse_rank,
 )
 from liemult.randgen import Lcg
 
@@ -309,3 +311,78 @@ def test_subspace_equality_is_canonical():
 
 def test_unit_vector():
     assert unit_vector(3, 1) == vector([0, 1, 0])
+
+
+def _sparse_vectors(rng, count, width, dim):
+    """``count`` sparse integer vectors of length ``width`` in a random subspace of dimension <= ``dim``."""
+    gens = [{c: rng.randint(-3, 3) for c in range(width) if rng.randint(0, 2) == 0}
+            for _ in range(dim)]
+    out = []
+    for _ in range(count):
+        acc = {}
+        for g in gens:
+            f = rng.randint(-2, 2)
+            for c, x in g.items():
+                acc[c] = acc.get(c, 0) + f * x
+        out.append({c: x for c, x in acc.items() if x})
+    return out
+
+
+def test_echelon_stopped_at_its_dimension_is_the_same_echelon():
+    # stored vectors never change, so once the echelon holds as many
+    # vectors as the span's dimension the rest would all reduce to zero
+    rng = Lcg(111)
+    stopped = 0
+    for _ in range(80):
+        width = rng.randint(1, 8)
+        vs = _sparse_vectors(rng, rng.randint(0, 10), width, rng.randint(0, width))
+        full = _echelon(vs)
+        assert _echelon(vs, limit=len(full)) == full
+        seed = _echelon(_sparse_vectors(rng, 2, width, 2))
+        both = _echelon(vs, dict(seed))
+        assert _echelon(vs, dict(seed), limit=len(both)) == both
+        stopped += len(full) < len([v for v in vs if v])
+    assert stopped > 20
+
+
+def test_echelon_seeded_past_its_limit_takes_no_vector():
+    seed = _echelon([{0: 1}, {1: 2, 2: 1}])
+    for limit in (0, 1, 2):
+        assert _echelon([{2: 5}, {0: 1, 2: 3}], dict(seed), limit=limit) == seed
+
+
+def _sparse_matrix(rng, rows, cols, dim, zero_cols=0):
+    """A ``rows`` x ``cols`` SparseMatrix whose columns span at most ``dim`` dimensions."""
+    columns = dict(enumerate(_sparse_vectors(rng, cols, rows, dim)))
+    for c in range(cols, cols + zero_cols):
+        columns[c] = {r: 0 for r in range(rows)}
+    return SparseMatrix(rows, cols + zero_cols, rng.randint(1, 3), columns)
+
+
+def test_rank_stopped_at_the_row_count_matches_sympy():
+    # the rank stops at the number of rows holding an entry: a full row
+    # rank hits that bound, and the other kinds must not be cut short
+    sympy = pytest.importorskip("sympy")
+    rng = Lcg(112)
+    kinds = {"full": 0, "deficient": 0, "empty": 0, "zero columns": 0}
+    for trial in range(120):
+        kind = list(kinds)[trial % 4]
+        rows = rng.randint(1, 6)
+        if kind == "full":
+            cols = rows + rng.randint(1, 4)
+            m = SparseMatrix(rows, cols, 1, {c: {r: rng.randint(-3, 3) for r in range(rows)
+                                                 if rng.randint(0, 3)} for c in range(cols)})
+        elif kind == "deficient":
+            m = _sparse_matrix(rng, rows, rng.randint(1, 8), rng.randint(0, rows - 1))
+        elif kind == "empty":
+            m = SparseMatrix(rows, rng.randint(0, 5), 1, {})
+        else:
+            m = _sparse_matrix(rng, rows, rng.randint(0, 6), rng.randint(0, rows), zero_cols=2)
+        expected = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                                 for row in m.iter_rows()]).rank() if m.cols else 0
+        assert sparse_rank(m) == expected, (kind, trial)
+        if kind == "full" and expected == rows:
+            kinds[kind] += 1
+        elif kind != "full":
+            kinds[kind] += expected < rows
+    assert all(count > 10 for count in kinds.values()), kinds
