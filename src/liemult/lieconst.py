@@ -13,6 +13,10 @@ optional, default 1; rationals written p/q).  Unlisted brackets are
 zero; the antisymmetric completion is implicit.  Rendering is canonical
 (brackets sorted by (i, j), coefficients in lowest terms, zero brackets
 omitted), and parse(render(L)) reproduces L exactly.
+
+A canonical bracket line is split on whitespace; every other spelling,
+and every malformed one, goes to the one-regex term scanner, which
+alone reports term errors.
 """
 
 from __future__ import annotations
@@ -88,6 +92,46 @@ def _parse_terms(rhs: str, lineno: int, offset: int, dim: int) -> dict[int, int 
         pos = m.end()
 
 
+def _terms(rhs: str, lineno: int, offset: int, dim: int) -> dict[int, int | Fraction]:
+    """The coefficients of one right-hand side, split on whitespace when it is canonical.
+
+    A canonical right-hand side, as ``render`` writes it, is an optional
+    leading '-', then terms 'eK', 'p eK' or 'p/q eK' (1 <= K <= dim,
+    q != 0) with a '+' or '-' token between them.  Any other spelling,
+    and any literal that int() refuses, goes to ``_parse_terms``, which
+    reads it the same way or reports the error.
+    """
+    coeffs: dict[int, int | Fraction] = {}
+    sign = "-" if rhs[:1] == "-" else "+"  # the next term's sign; None right after a term
+    coeff = None  # the next term's coefficient, once read
+    try:
+        for tok in (rhs[1:] if sign == "-" else rhs).split():
+            if sign is None:
+                if tok != "+" and tok != "-":
+                    break
+                sign = tok
+            elif tok[0] == "e" and tok[1:].isdecimal():
+                index = int(tok[1:])
+                if not 1 <= index <= dim:
+                    break
+                c = 1 if coeff is None else coeff
+                coeffs[index] = coeffs.get(index, 0) + (-c if sign == "-" else c)
+                sign = coeff = None
+            elif coeff is None:
+                p, slash, q = tok.partition("/")
+                if not p.isdecimal() or slash and not q.isdecimal():
+                    break
+                coeff = Fraction(int(p), int(q)) if slash else int(p)
+            else:
+                break
+        else:
+            if sign is None:
+                return coeffs
+    except (ValueError, ZeroDivisionError):  # an over-long literal, or q = 0
+        pass
+    return _parse_terms(rhs, lineno, offset, dim)
+
+
 def parse(text: str) -> LieAlgebra:
     """Parse lieconst v1 text into a validated LieAlgebra.
 
@@ -118,7 +162,7 @@ def parse(text: str) -> LieAlgebra:
         i = _int(m.group(1), lineno, col + m.start(1))
         j = _int(m.group(2), lineno, col + m.start(2))
         rhs = stripped[m.end():]
-        coeffs = _parse_terms(rhs, lineno, col - 1 + m.end(), dim)
+        coeffs = _terms(rhs, lineno, col - 1 + m.end(), dim)
         brackets.append((i, j, coeffs))
     if dim is None:
         _fail("empty input: missing 'dim N' header", 1, 1)

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Ranks, inverses, spans and kernels.  Every elimination runs on one
-kernel, ``_echelon``, a fraction-free echelon of sparse integer vectors,
-and ``_span`` back-substitutes its output to the canonical reduced rows.
+kernel, ``_echelon``, a fraction-free echelon of sparse integer vectors
+that divides each vector's content out once, when it stores it, and
+``_span`` back-substitutes its output to the canonical reduced rows.
 Every other subspace question is an echelon size: v lies in A exactly
 when A's rows plus v still echelon to dim A vectors, B lies in A when
 A's rows plus B's do, and dim(A ∩ B) = dim A + dim B - dim(A + B), the
@@ -169,9 +170,11 @@ def _echelon(vectors: Iterable[IntVector],
 
     Vectors are taken fewest nonzeros first, the Markowitz choice that
     keeps fill-in low.  Each is reduced against the echelon built so
-    far: its smallest index is the pivot, a stored vector with the same
-    pivot is cancelled by integer cross-multiplication, and the content
-    (gcd of the entries) is divided out so the integers stay small.
+    far: its smallest index is the pivot, and a stored vector with the
+    same pivot is cancelled by integer cross-multiplication.  The
+    content (gcd of the entries) is divided out once, when the vector
+    is stored; each cancellation only scaled it by a positive factor,
+    so it is the vector that dividing after every step would store.
 
     Given a ``limit``, no further vector is taken once the echelon holds
     that many.  Stored vectors never change, so when ``limit`` bounds
@@ -215,8 +218,9 @@ def _combine(v: Iterable[tuple[int, int]],
 def _cancel(v: dict[int, int], piv: dict[int, int], p: int) -> dict[int, int]:
     """``a*v - b*piv`` with ``a/b = piv[p]/v[p]`` in lowest terms, so entry p cancels.
 
-    ``v`` is updated in place when ``a`` is 1; otherwise the scaled copy
-    has its content divided out.
+    ``v`` is updated in place when ``a`` is 1.  The content is not
+    divided out here: ``_echelon`` does that once, when it stores a
+    vector.
     """
     a, b = piv[p], v[p]
     g = gcd(a, b)
@@ -229,10 +233,6 @@ def _cancel(v: dict[int, int], piv: dict[int, int], p: int) -> dict[int, int]:
             v[c] = y
         else:
             v.pop(c, None)
-    if a != 1 and v:
-        g = gcd(*v.values())
-        if g != 1:
-            v = {c: x // g for c, x in v.items()}
     return v
 
 
@@ -241,7 +241,9 @@ def _back_substitute(echelon: dict[int, dict[int, int]]) -> dict[int, dict[int, 
 
     Vectors are taken from the largest pivot down; those already done
     are zero at every other pivot, so cancelling one of them from a
-    vector changes it only at that pivot and at non-pivot indices.
+    vector changes it only at that pivot and at non-pivot indices.  The
+    vectors keep the content their cancellations leave: every caller
+    divides by it or by the pivot entries.
     """
     reduced: dict[int, dict[int, int]] = {}
     for p in sorted(echelon, reverse=True):

@@ -20,13 +20,16 @@ the package takes it on the adapted table and maps it back.
 Fractions.  ``render_text`` writes lieconst text with a Fraction per
 coefficient, the bytes ``lieconst.render`` must give from its integers.
 ``clear_caches`` empties the package's functools caches, so that a test
-can count what one cold request computes.
+can count what one cold request computes.  ``cancel_with_content``
+is the elimination step that divides out the content after every
+cancellation, the reference for the kernel, which divides it out once
+per stored vector.
 """
 
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from liemult.liealg import _make
 from liemult.linalg import AmbientMismatch, SingularMatrix, Subspace, _echelon, _kernel, _span, rat
@@ -287,3 +290,28 @@ def clear_caches():
             for obj in vars(mod).values():
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
+
+
+def cancel_with_content(v, piv, p):
+    """``a*v - b*piv`` with ``a/b = piv[p]/v[p]`` in lowest terms, its content divided out when a != 1.
+
+    ``linalg._cancel`` as it was before the content moved to the stored
+    vector; a test patches it in to get the echelons that per-step
+    division gives.
+    """
+    a, b = piv[p], v[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        v = {c: a * x for c, x in v.items()}
+    for c, x in piv.items():
+        y = v.get(c, 0) - b * x
+        if y:
+            v[c] = y
+        else:
+            v.pop(c, None)
+    if a != 1 and v:
+        g = gcd(*v.values())
+        if g != 1:
+            v = {c: x // g for c, x in v.items()}
+    return v

@@ -212,20 +212,36 @@ def _outcome(scan, rhs):
 
 
 _TOKENS = (" ", "\t", "+", "-", "0", "1", "2", "7", "/", "e", "e1", "e4", "e5", "e0",
-           "1/0", "9" * 5000, "\u0663")  # U+0663 is the Arabic-Indic digit three
+           "1/0", "9" * 5000, "\u0663",  # U+0663 is the Arabic-Indic digit three
+           # spellings that int() or str.split() could read apart from the regex
+           "1_0", "+5", "3/-2", "e1e2", "3e4", "3 / 2 e4", "\uff12", "\x0b", "\x1c")
 
 
-def test_term_scanner_matches_reference_scanner():
+@pytest.fixture
+def scanned(monkeypatch):
+    """The arguments of every call that reaches ``_parse_terms`` through ``lieconst``."""
+    calls = []
+    monkeypatch.setattr(lieconst, "_parse_terms", lambda *a: calls.append(a) or _parse_terms(*a))
+    return calls
+
+
+def test_term_scanner_matches_reference_scanner(scanned):
     # the 5000-digit literal is longer than int() converts by default,
-    # and U+0663 is a digit to both \d and int()
+    # and U+0663 and the fullwidth U+FF12 are digits to \d, str.isdecimal()
+    # and int(); int() also takes '1_0' and '+5', which the regex does
+    # not, and \x0b and \x1c are whitespace to \s and to str.split()
     rng = Lcg(113)
-    errors = 0
+    errors = split = 0
     for _ in range(20000):
         rhs = "".join(rng.choice(_TOKENS) for _ in range(rng.randint(0, 9)))
         want = _outcome(_reference_parse_terms, rhs)
         assert _outcome(_parse_terms, rhs) == want, rhs[:80]
+        scanned.clear()
+        assert _outcome(lieconst._terms, rhs) == want, rhs[:80]
         errors += isinstance(want, tuple)
+        split += not scanned
     assert 10000 < errors < 20000
+    assert split > 100
 
 
 def _shuffle(rng, items):
@@ -262,6 +278,26 @@ def _spelled(rng, coeffs, n):
         terms += [_term(rng, x, k), _term(rng, -x, k)]
     _shuffle(rng, terms)
     return "".join(f" {sign} {body}" for sign, body in terms).lstrip(" +")
+
+
+def test_split_terms_match_the_scanner_on_perturbed_lines(scanned):
+    # spelled right-hand sides mostly take the split path; one inserted
+    # token in half of them tests where it must hand over to the scanner
+    odd = ("1_0", "+5", "3/-2", "e1e2", "3e4", "3 / 2 e4", "\uff12", "\x0b", "\x1c", "\u0663",
+           "-", "+", "/", " ", "e0", "e5", "1/0", "e", "x", "9" * 5000)
+    rng = Lcg(114)
+    split = 0
+    for _ in range(4000):
+        coeffs = {k: Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                  for k in range(1, 5) if rng.randint(0, 1)}
+        rhs = _spelled(rng, coeffs, 4)
+        if rng.randint(0, 1):
+            at = rng.randint(0, len(rhs))
+            rhs = rhs[:at] + rng.choice(odd) + rhs[at:]
+        scanned.clear()
+        assert _outcome(lieconst._terms, rhs) == _outcome(_parse_terms, rhs), rhs[:80]
+        split += not scanned
+    assert split > 1000
 
 
 def test_integer_tokeniser_matches_fraction_reference():

@@ -1,9 +1,12 @@
-"""Exact linear algebra: examples worked by hand plus seeded properties."""
+"""Exact linear algebra: examples worked by hand, seeded properties, and the kernel on recorded requests."""
 
 from fractions import Fraction
 
 import pytest
 
+from liemult import liealg, linalg, multiplier
+from liemult.catalog import heisenberg, l4524_plus_a1, l_3_4_1_4, l_4_5_2_4
+from liemult.liealg import build, center, change_of_basis, lcs_adapted, lower_central_series, quotient
 from liemult.linalg import (
     AmbientMismatch,
     Matrix,
@@ -13,12 +16,17 @@ from liemult.linalg import (
     _echelon,
     _inverse,
     _kernel,
+    _span,
     rank as sparse_rank,
 )
-from liemult.randgen import Lcg
+from liemult.multiplier import schur_multiplier_dim
+from liemult.randgen import Lcg, random_unimodular
+from liemult.verify import build_population
 
 from fraction_reference import (
     basis_rows,
+    cancel_with_content,
+    clear_caches,
     contains,
     dense_rank as rank,
     from_vectors,
@@ -386,3 +394,110 @@ def test_rank_stopped_at_the_row_count_matches_sympy():
         elif kind != "full":
             kinds[kind] += expected < rows
     assert all(count > 10 for count in kinds.values()), kinds
+
+
+# The kernel divides out each vector's content once, when it stores it;
+# fraction_reference.cancel_with_content divides it out after every
+# cancellation, as the kernel once did.  A skipped division only scales
+# the working vector by a positive factor, so each echelon must keep the
+# same pivots and stored vectors, and every subspace, inverse and
+# quotient made from one must be unchanged.
+
+
+def _filiform(n):
+    return build(n, [(1, i, {i + 1: 1}) for i in range(2, n)])
+
+
+def _dense_ladder(seed):
+    """12n-step base changes of the dense ladder's algebras: three draws of dim < 8, two of the rest."""
+    rng = Lcg(seed)
+    originals = ([heisenberg(m).algebra for m in (2, 3, 4, 5)] + [_filiform(n) for n in (6, 8, 10)]
+                 + [l_3_4_1_4().algebra, l_4_5_2_4().algebra, l4524_plus_a1().algebra])
+    return [change_of_basis(alg, random_unimodular(alg.dim, rng, steps=12 * alg.dim))
+            for alg in originals for _ in range(2 if alg.dim >= 8 else 3)]
+
+
+def _seeded_sets(rng, count):
+    """(vectors, seed echelon, limit) triples of sparse vectors in random subspaces."""
+    sets = []
+    for _ in range(count):
+        width = rng.randint(1, 9)
+        vs = _sparse_vectors(rng, rng.randint(0, 12), width, rng.randint(0, width))
+        seed = _echelon(_sparse_vectors(rng, rng.randint(0, 3), width, 2)) if rng.randint(0, 1) else None
+        limit = rng.randint(0, width) if rng.randint(0, 1) else None
+        sets.append((vs, seed, limit))
+    return sets
+
+
+def _requests(L):
+    """What the cold ``multiplier``, ``info`` and ``classify`` requests and a central quotient compute."""
+    clear_caches()
+    z = center(L)
+    return schur_multiplier_dim(L), z, lower_central_series(L), lcs_adapted(L), quotient(L, z)
+
+
+def _recorded(monkeypatch, algebras):
+    """The requests' answers on each algebra, and the arguments of every ``_echelon`` call they make."""
+    calls = []
+
+    def record(vectors, echelon=None, limit=None):
+        vectors = [dict(v) for v in vectors]
+        calls.append((vectors, None if echelon is None else dict(echelon), limit))
+        return _echelon(vectors, echelon, limit)
+
+    with monkeypatch.context() as m:
+        for mod in (linalg, liealg, multiplier):
+            m.setattr(mod, "_echelon", record)
+        answers = [_requests(L) for L in algebras]
+    return answers, calls
+
+
+def _echelons(calls):
+    # items, not the dict: the pivots must be stored in the same order too
+    return [list(_echelon(vs, None if seed is None else dict(seed), limit).items())
+            for vs, seed, limit in calls]
+
+
+def _subspaces(calls):
+    out = []
+    for vs, seed, _ in calls:
+        n = 1 + max((c for v in [*vs, *(seed or {}).values()] for c in v), default=0)
+        out.append((_span(n, vs), _kernel(n, vs)))
+    return out
+
+
+_CASES = [("population", lambda: [c.algebra for c in build_population(4, 3, 7)], 141),
+          ("dense ladder, seed 1", lambda: _dense_ladder(1), 142),
+          ("dense ladder, seed 2", lambda: _dense_ladder(2), 143)]
+
+
+@pytest.mark.parametrize("algebras, seed", [pytest.param(make, seed, id=name) for name, make, seed in _CASES])
+def test_echelons_match_per_step_content(monkeypatch, algebras, seed):
+    answers, calls = _recorded(monkeypatch, algebras())
+    calls += _seeded_sets(Lcg(seed), 200)
+    echelons, subspaces = _echelons(calls), _subspaces(calls)
+    assert sum(limit is not None for _, _, limit in calls) > 50
+    assert sum(s is not None for _, s, _ in calls) > 50
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_cancel", cancel_with_content)
+        assert _echelons(calls) == echelons
+        assert _subspaces(calls) == subspaces
+        assert [_requests(L) for L in algebras()] == answers
+
+
+def test_inverse_matches_per_step_content(monkeypatch):
+    # unimodular matrices (d = 1) and rational rescalings of them (d > 1)
+    rng = Lcg(144)
+    matrices = []
+    for n in range(1, 9):
+        for _ in range(6):
+            u = random_unimodular(n, rng, steps=12 * n)
+            rows = [[int(x) for x in row] for row in u.iter_rows()]
+            matrices.append(rows)
+            factors = [rng.randint(1, 4) for _ in rows]
+            matrices.append([[f * x for x in row] for f, row in zip(factors, rows)])
+    inverses = [_inverse(rows) for rows in matrices]
+    assert any(d > 1 for d, _ in inverses)
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_cancel", cancel_with_content)
+        assert [_inverse(rows) for rows in matrices] == inverses

@@ -26,7 +26,9 @@ _HEADER = st.integers(0, 12).map(lambda n: f"dim {n}")
 _LHS = st.sampled_from(("[e1,e2] = ", "[e1,e3] = ", "[e2,e3] = ", "[e1,e4] = ", "[e3,e4] = ",
                         "[e2,e1] = ", "[e1,e13] = ", "[e0,e1] = ", "[e1,e2]", "[e1 e2] = "))
 _TERM = st.sampled_from(("e1", "e2", "e3", "e4", "e5", "2 e3", "1/2 e4", "3/4 e5", "10 e2",
-                         "e12", "e13", "e0", "1/0 e1", "٣ e1", "x", "e", ""))
+                         "e12", "e13", "e0", "1/0 e1", "٣ e1", "x", "e", "",
+                         # spellings that int() or str.split() could read apart from the term regex
+                         "1_0", "+5", "3/-2", "e1e2", "3e4", "3 / 2 e4", "\uff12", "\x0b", "\x1c"))
 _SIGN = st.sampled_from((" + ", " - ", "-", ""))
 _BRACKET = st.tuples(_LHS, st.lists(st.tuples(_SIGN, _TERM).map("".join), min_size=1, max_size=3)
                      .map("".join)).map("".join)
