@@ -6,14 +6,15 @@ numerators over the one common denominator ``denom``, the least common
 denominator of all structure constants.  That form is canonical, so
 equality and the hash read it directly, and antisymmetry is structural.
 ``table`` derives the dense Fraction vectors on demand for readers that
-want them; nothing here computes with it.  Every constructor (``build``,
-``direct_sum``, ``quotient``, ``change_of_basis``) ends in ``_make``,
-which reduces numerators and denominator by their common gcd and sorts
-the brackets; ``build`` takes int coefficients as they are and makes a
-Fraction of no other.  ``first_jacobi_violation`` is the one Jacobi
-test: ``build``, the one constructor fed outside input, runs it on
-``lcs_adapted(L)``, as the identity holds on every basis or on none, and
-scans the original table only to name the first failing triple of an
+want them, with ``linalg._dense``, which also writes the defect of a
+``JacobiViolation``; nothing here computes with them.  Every constructor
+(``build``, ``direct_sum``, ``quotient``, ``change_of_basis``) ends in
+``_make``, which reduces numerators and denominator by their common gcd
+and sorts the brackets; ``build`` takes int coefficients as they are and
+makes a Fraction of no other.  ``first_jacobi_violation`` is the one
+Jacobi test: ``build``, the one constructor fed outside input, runs it
+on ``lcs_adapted(L)``, as the identity holds on every basis or on none,
+and scans the original table only to name the first failing triple of an
 invalid one.  Algebras derived from valid ones (sums, quotients by
 ideals, base changes) are valid by construction, and the multiplier
 re-checks only ``lcs_adapted(L)``.  ``center`` takes its kernel there
@@ -67,14 +68,13 @@ from .linalg import (
     Vector,
     _back_substitute,
     _combine,
+    _dense,
     _echelon,
     _inverse,
     _kernel,
     _span,
     rat,
 )
-
-_ZERO = Fraction(0)
 
 
 class IndexOutOfRange(ValueError):
@@ -163,14 +163,7 @@ class LieAlgebra:
     @property
     def table(self) -> tuple[tuple[int, int, Vector], ...]:
         """(i, j, dense Fraction vector of [e_i, e_j]) per stored bracket, derived on each call."""
-        zero = [_ZERO] * self.dim
-        out = []
-        for i, j, coeffs in self.brackets:
-            row = list(zero)
-            for m, a in coeffs:
-                row[m] = Fraction(a, self.denom)
-            out.append((i, j, tuple(row)))
-        return tuple(out)
+        return tuple((i, j, _dense(self.dim, coeffs, self.denom)) for i, j, coeffs in self.brackets)
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, nonzero_brackets={len(self.brackets)})"
@@ -292,8 +285,7 @@ def first_jacobi_violation(
     for key in sorted(sums):
         acc = sums[key]
         if any(acc.values()):
-            scale = L.denom * L.denom
-            return key, tuple(Fraction(acc.get(r, 0), scale) for r in range(n))
+            return key, _dense(n, acc.items(), L.denom * L.denom)
     return None
 
 

@@ -22,7 +22,10 @@ zero at the other rows' pivots.  Scaling the reduced row echelon form's
 rows to primitive integers is unique, so two ``Subspace`` values compare
 equal exactly when they describe the same subspace.  ``Matrix`` is the
 dense rational input of a base change, and ``SparseMatrix`` holds the
-boundary maps of :mod:`liemult.multiplier`.
+boundary maps of :mod:`liemult.multiplier`.  ``_dense`` is the one
+read-out from integers over a denominator to a dense Fraction vector:
+``SparseMatrix.iter_rows`` and :mod:`liemult.liealg`'s ``table`` and
+Jacobi defect all call it.
 """
 
 from __future__ import annotations
@@ -138,24 +141,24 @@ class SparseMatrix:
 
     def iter_rows(self) -> Iterator[Vector]:
         """Dense rows of Fractions, as ``Matrix.iter_rows`` yields them."""
-        by_row: dict[int, dict[int, int]] = {}
+        by_row: dict[int, list[tuple[int, int]]] = {}
         for c, col in self.columns.items():
             for r, x in col.items():
-                by_row.setdefault(r, {})[c] = x
-        zero_row = (_ZERO,) * self.cols
+                by_row.setdefault(r, []).append((c, x))
         for r in range(self.rows):
-            entries = by_row.get(r)
-            if not entries:
-                yield zero_row
-                continue
-            row = list(zero_row)
-            for c, x in entries.items():
-                row[c] = Fraction(x, self.denom)
-            yield tuple(row)
+            yield _dense(self.cols, by_row.get(r, ()), self.denom)
 
     def __repr__(self) -> str:
         nnz = sum(len(col) for col in self.columns.values())
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={nnz}, denom={self.denom})"
+
+
+def _dense(n: int, entries: Iterable[tuple[int, int]], denom: int) -> Vector:
+    """The length-n Fraction vector with x / denom at each (c, x) of ``entries``, zero elsewhere."""
+    row = [_ZERO] * n
+    for c, x in entries:
+        row[c] = Fraction(x, denom)
+    return tuple(row)
 
 
 def _echelon(vectors: Iterable[IntVector],

@@ -15,7 +15,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import catalog
 from .classifier import AbelianAlgebra, Status, classify
-from .liealg import LieAlgebra, NotNilpotent, direct_sum
+from .liealg import LieAlgebra, direct_sum
 from .linalg import Subspace, _span
 from .multiplier import (
     check_defect_bounds,
@@ -251,9 +251,6 @@ def run_classification(max_m: int = DEFAULT_MAX_M, max_k: int = DEFAULT_MAX_K,
     for case in build_population(max_m, max_k, seed):
         try:
             res = classify(case.algebra)
-        except NotNilpotent:
-            yield CaseResult(f"classify-sweep[{case.case_id}]", True, "skipped: not nilpotent")
-            continue
         except AbelianAlgebra:
             yield CaseResult(f"classify-sweep[{case.case_id}]", True, "skipped: abelian")
             continue

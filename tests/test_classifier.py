@@ -14,8 +14,10 @@ from liemult.catalog import (
     l_3_4_1_4,
     l_4_5_2_4,
 )
+from liemult import classifier
 from liemult.classifier import (
     AbelianAlgebra,
+    Fingerprint,
     Status,
     classify,
     fingerprint,
@@ -79,6 +81,36 @@ def test_classify_out_of_scope():
     assert res.status is Status.OUT_OF_SCOPE
     assert res.s_value == 3
     assert res.family is None
+
+
+def _fingerprint(n, derived_dim, center_dim, nilpotency_class, s):
+    """A fingerprint whose dim_m and t agree with its n and s."""
+    dim_m = (n - 1) * (n - 2) // 2 + 1 - s
+    return Fingerprint(n, derived_dim, center_dim, nilpotency_class, dim_m,
+                       n * (n - 1) // 2 - dim_m, s)
+
+
+# fingerprints no real algebra has: each breaks every pin set of its s;
+# the second s = 2 one has derived_dim 1 but m = (n - center_dim) / 2 = 1
+VIOLATIONS = [
+    (_fingerprint(5, 2, 1, 3, 0), "s=0 but pins for H(1)+A(n-3) fail"),
+    (_fingerprint(5, 2, 1, 3, 1), "s=1 but pins for L4524 fail"),
+    (_fingerprint(5, 2, 2, 2, 2), "s=2 but no family pin set matches"),
+    (_fingerprint(5, 1, 3, 2, 2), "s=2 but no family pin set matches"),
+    (_fingerprint(4, 1, 2, 2, -1), "s=-1 < 0 on a non-abelian nilpotent algebra"),
+]
+
+
+@pytest.mark.parametrize("fp, notes", VIOLATIONS)
+def test_classify_reports_theorem_violation(monkeypatch, fp, notes):
+    monkeypatch.setattr(classifier, "fingerprint", lambda L: fp)
+    res = classify(heisenberg(1).algebra)
+    assert res.status is Status.THEOREM_VIOLATION
+    assert res.family is None
+    assert res.params == ()
+    assert res.s_value == fp.s
+    assert res.notes == notes
+    assert res.fingerprint is fp
 
 
 def test_classify_gates():

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from liemult import classifier, verify
+from liemult.classifier import Fingerprint
 from liemult.cli import main
 
 
@@ -73,6 +75,32 @@ def test_classify_out_of_scope_exits_zero(capsys, tmp_path):
     assert code == 0
     assert "status=OutOfScope" in out
     assert "s=3" in out
+
+
+def test_classify_theorem_violation_exits_one(capsys, monkeypatch, h2_file):
+    # no real algebra breaks the pins, so hand classify a fingerprint that does
+    fp = Fingerprint(n=5, derived_dim=2, center_dim=1, nilpotency_class=3, dim_m=7, t=3, s=0)
+    monkeypatch.setattr(classifier, "fingerprint", lambda L: fp)
+    code, out, err = run(capsys, "classify", h2_file)
+    assert (code, err) == (1, "")
+    assert out == ("status=TheoremViolation\ns=0\nn=5\ndimL2=2\ndimZ=1\nclass=3\n"
+                   "dimM=7\nt=3\nnotes=s=0 but pins for H(1)+A(n-3) fail\n")
+
+
+def test_verify_reports_a_theorem_violation(capsys, monkeypatch):
+    case = next(c for c in verify.build_population(2, 1, 7)
+                if c.case_id.startswith("cob[") and c.algebra.brackets)
+    fp = Fingerprint(n=5, derived_dim=2, center_dim=1, nilpotency_class=3, dim_m=7, t=3, s=0)
+    real = classifier.fingerprint
+    monkeypatch.setattr(classifier, "fingerprint", lambda L: fp if L is case.algebra else real(L))
+    code, out, _ = run(capsys, "verify", "--suite", "classification",
+                       "--max-m", "2", "--max-k", "1", "--max-n", "4")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL classify-sweep[{case.case_id}]: s=0 status=TheoremViolation"]
+    assert lines[-2].endswith(" failures=1")
+    assert lines[-1] == "result=fail"
 
 
 def test_exit_code_syntax_error(capsys, tmp_path):
@@ -185,6 +213,7 @@ def test_catalog_hplusa_parameter_errors(capsys, params, message):
     (["HplusA", "1"], "HplusA takes 2 parameters, got 1"),
     (["H", "1", "2"], "H takes 1 parameter, got 2"),
     (["A", "2", "--plus", "H"], "H takes 1 parameter, got 0"),
+    (["H", "x"], "catalog parameters must be integers, got ['x']"),
 ])
 def test_catalog_wrong_parameter_count(capsys, argv, message):
     assert run(capsys, "catalog", *argv) == (4, "", f"error: {message}\n")

@@ -103,6 +103,12 @@ def test_build_rejects_bad_indices():
         build(3, [(1, 4, e(3, 3))])
     with pytest.raises(IndexOutOfRange):
         build(3, [(1, 2, [0, 0])])
+    with pytest.raises(IndexOutOfRange, match=r"^dimension must be non-negative, got -1$"):
+        build(-1, [])
+    for k in (0, 4):
+        with pytest.raises(IndexOutOfRange,
+                           match=rf"^coefficient of \[e1,e2\] names e{k}, outside 1\.\.3$"):
+            build(3, [(1, 2, {k: 1})])
 
 
 def test_build_rejects_duplicates():

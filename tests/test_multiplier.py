@@ -184,6 +184,8 @@ def test_tensor_term_dim():
     assert tensor_term_dim(abelian(3).algebra, 2) == 6
     assert tensor_term_dim(heisenberg(1).algebra, 1) == 2
     assert tensor_term_dim(heisenberg(3).algebra, 0) == 0
+    with pytest.raises(ValueError, match=r"^k_dim must be non-negative$"):
+        tensor_term_dim(heisenberg(1).algebra, -1)
 
 
 def test_complex_is_exact_on_samples():

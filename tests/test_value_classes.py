@@ -14,7 +14,7 @@ from liemult import verify
 from liemult.catalog import CatalogEntry, abelian, heisenberg, l_4_5_2_4
 from liemult.classifier import ClassificationResult, Fingerprint, classify, fingerprint
 from liemult.liealg import LieAlgebra, SeriesReport, build, center, lower_central_series
-from liemult.linalg import Matrix, Subspace
+from liemult.linalg import Matrix, SparseMatrix, Subspace
 from liemult.multiplier import (
     DefectBoundsCheck,
     KunnethCheck,
@@ -138,6 +138,18 @@ def test_matrix_keeps_its_shape_checks():
         with pytest.raises(ValueError, match=r"^negative matrix dimensions$"):
             Matrix(rows, cols, ())
     assert repr(Matrix(1, 1, (1,))) == "Matrix(rows=1, cols=1, entries=(1,))"
+    with pytest.raises(ValueError, match=r"^cols required for a matrix with no rows$"):
+        Matrix.from_rows([])
+    with pytest.raises(ValueError, match=r"^declared cols 3 != row length 2$"):
+        Matrix.from_rows([[1, 0]], cols=3)
+    with pytest.raises(ValueError, match=r"^ragged rows$"):
+        Matrix.from_rows([[1, 0], [1]])
+    for rows, cols in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match=r"^negative matrix dimensions$"):
+            SparseMatrix(rows, cols, 1, {})
+    for denom in (0, -2):
+        with pytest.raises(ValueError, match=rf"^common denominator must be positive, got {denom}$"):
+            SparseMatrix(1, 1, denom, {})
 
 
 def test_defaults_and_derived_attributes_stay():
