@@ -114,9 +114,19 @@ _CONSTRUCTORS: dict[str, Callable[..., CatalogEntry]] = {
 
 FAMILIES = tuple(_CONSTRUCTORS)
 
+# family identifier -> the dimension of its algebra, from the same parameters
+_DIMENSIONS: dict[str, Callable[..., int]] = {
+    FAMILY_ABELIAN: lambda k: k,
+    FAMILY_HEISENBERG: lambda m: 2 * m + 1,
+    FAMILY_L3414: lambda: 4,
+    FAMILY_L4524: lambda: 5,
+    FAMILY_H_PLUS_A: lambda m, k: 2 * m + 1 + k,
+    FAMILY_L4524_PLUS_A1: lambda: 6,
+}
 
-def entry(family: str, params: tuple[int, ...] = ()) -> CatalogEntry:
-    """Dispatch a family identifier plus parameters to its constructor."""
+
+def _constructor(family: str, params: tuple[int, ...]) -> Callable[..., CatalogEntry]:
+    """The family's constructor, once the family is known and takes len(params) parameters."""
     make = _CONSTRUCTORS.get(family)
     if make is None:
         raise ValueError(f"unknown catalog family {family!r}")
@@ -124,7 +134,21 @@ def entry(family: str, params: tuple[int, ...] = ()) -> CatalogEntry:
     if len(params) != arity:
         noun = "parameter" if arity == 1 else "parameters"
         raise ValueError(f"{family} takes {arity} {noun}, got {len(params)}")
-    return make(*params)
+    return make
+
+
+def dimension(family: str, params: tuple[int, ...] = ()) -> int:
+    """The dimension of ``entry(family, params)``, read off the parameters without building it.
+
+    Parameters the constructor refuses may give a negative number.
+    """
+    _constructor(family, params)
+    return _DIMENSIONS[family](*params)
+
+
+def entry(family: str, params: tuple[int, ...] = ()) -> CatalogEntry:
+    """Dispatch a family identifier plus parameters to its constructor."""
+    return _constructor(family, params)(*params)
 
 
 def standard_entries(max_m: int, max_k: int) -> list[CatalogEntry]:

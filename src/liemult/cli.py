@@ -33,7 +33,7 @@ from .liealg import (
     direct_sum,
     lower_central_series,
 )
-from .lieconst import LieconstSyntaxError, load, render
+from .lieconst import MAX_DIM, LieconstSyntaxError, load, render
 from .multiplier import NotCentral, schur_multiplier_dim
 
 EXIT_OK = 0
@@ -90,21 +90,26 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_FAIL if res.status is Status.THEOREM_VIOLATION else EXIT_OK
 
 
-def _parse_catalog_spec(name: str, params: Sequence[str]) -> catalog.CatalogEntry:
+def _parse_catalog_spec(name: str, params: Sequence[str]) -> tuple[str, tuple[int, ...]]:
     try:
         values = tuple(int(p) for p in params)
     except ValueError:
         raise ValueError(f"catalog parameters must be integers, got {params!r}")
-    return catalog.entry(name, values)
+    return name, values
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     try:
-        entry = _parse_catalog_spec(args.name, args.params)
-        alg = entry.algebra
-        for extra in args.plus or []:
-            more = _parse_catalog_spec(extra[0], extra[1:])
-            alg = direct_sum(alg, more.algebra)
+        specs = [_parse_catalog_spec(args.name, args.params),
+                 *(_parse_catalog_spec(extra[0], extra[1:]) for extra in args.plus or [])]
+        # the sum is refused before any summand is built; a negative
+        # dimension is a parameter its constructor refuses
+        dim = sum(max(catalog.dimension(*spec), 0) for spec in specs)
+        if dim > MAX_DIM:
+            raise ValueError(f"dimension {dim} above {MAX_DIM}, the largest a file may declare")
+        alg = catalog.entry(*specs[0]).algebra
+        for spec in specs[1:]:
+            alg = direct_sum(alg, catalog.entry(*spec).algebra)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

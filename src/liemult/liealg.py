@@ -50,6 +50,10 @@ read from the reduced echelon of [Q | I], or, for the seeded base
 changes of :mod:`liemult.randgen`, built exactly by their generator.
 ``lcs_adapted`` needs no such transport: L^2 holds every bracket, so it
 inverts only the k x k block of L^2's pivots in its basis, k = dim L^2.
+Nor does it bracket the last nonzero term with the generators e_c: the
+walk's last layer, or last term, formed those brackets and found them 0,
+so the skip rests on computed brackets and not on the Jacobi identity,
+and the adapted table of a Jacobi-violating input stays exact.
 """
 
 from __future__ import annotations
@@ -458,25 +462,42 @@ def lcs_adapted(L: LieAlgebra) -> LieAlgebra:
     vector of L^2, as each stored bracket is, has as coordinates its entries
     at L^2's pivots times the inverse of the u's k x k block there: a pair
     of e_c is such an image, and a pair with a u a sum of ``_integer_brackets``.
+    When the walk reached 0, the last u span the last nonzero term, and
+    ``_series`` already found their brackets with the e_c to be 0: its last
+    layer, or its last term on the walk over every e_t, is the zero term.
+    So these u are bracketed only with the earlier u.  When no u needs a
+    bracket, as for H(m) on any basis, only the images of brackets of two
+    e_c are formed, and neither ``_adjoint`` nor ``_integer_brackets`` runs.
+    No pair is dropped for its weights: [f_a, f_b] lies in L^(w_a + w_b)
+    only by the Jacobi identity, and ``build`` validates outside input on
+    this table.
     """
     basis = lcs_basis(L)
     if all(len(v) == 1 for v in basis):
         return L
-    g = L.dim - len(_series(L)[0][0])
+    terms, nilpotent = _series(L)
+    n, g = L.dim, L.dim - len(terms[0])
+    # basis[last:] spans the last nonzero term, whose [u, e_c] the walk found 0
+    last = n - len(terms[-2]) if nilpotent else n
+    todo = [(b, range(0 if b < last else g, b)) for b in range(g, n)]
+    todo = [(b, earlier) for b, earlier in todo if earlier]
     gens = {v[0][0]: a for a, v in enumerate(basis[:g])}
     pivots = [v[0][0] for v in basis[g:]]
     d, r = _inverse([[dict(v).get(p, 0) for p in pivots] for v in basis[g:]])
     coords = {p: [(g + b, y) for b, y in row.items()] for p, row in zip(pivots, r)}
+    brackets = L.brackets if todo else [t for t in L.brackets if t[0] in gens and t[1] in gens]
     images = [(a, b, _combine([(m, x) for m, x in coeffs if m in coords], coords).items())
-              for a, b, coeffs in L.brackets]
+              for a, b, coeffs in brackets]
     mapping = {(gens[a], gens[b]): image for a, b, image in images if a in gens and b in gens}
-    ad = _adjoint(L.dim, images)
-    for b, u in enumerate(basis[g:], g):
-        # out[t] is [e_t, u]; so [f_a, u] = sum over t of f_a[t] out[t]
-        out = {t: w.items() for t, w in _integer_brackets(ad, [(m, -x) for m, x in u]).items()}
-        for a, v in enumerate(basis[:b]):
-            mapping[(a, b)] = _combine([(t, x) for t, x in v if t in out], out).items()
-    return _make(L.dim, d * L.denom, mapping)
+    if todo:
+        ad = _adjoint(n, images)
+        for b, earlier in todo:
+            # out[t] is [e_t, u]; so [f_a, u] = sum over t of f_a[t] out[t]
+            u = [(m, -x) for m, x in basis[b]]
+            out = {t: w.items() for t, w in _integer_brackets(ad, u).items()}
+            for a in earlier:
+                mapping[(a, b)] = _combine([(t, x) for t, x in basis[a] if t in out], out).items()
+    return _make(n, d * L.denom, mapping)
 
 
 def is_ideal(L: LieAlgebra, s: Subspace) -> bool:

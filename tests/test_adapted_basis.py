@@ -12,7 +12,9 @@ kernel, and check that its certificate, the sum of the layers having
 L^2's size, accepts every nilpotent algebra without the walk over every
 e_t and rejects the non-nilpotent ones whose layers reach 0.  Every
 vector any caller passes to the echelon kernel is checked for explicit
-zero entries.
+zero entries.  The adapted table, which brackets the last nonzero term
+only with the earlier vectors of L^2, is checked against the general
+transport, on Jacobi-violating tables too.
 """
 
 from fractions import Fraction
@@ -485,20 +487,62 @@ def _reference_inputs():
         cases.append((f"{label}@dense",
                       change_of_basis(alg, random_unimodular(n, Lcg(seed), steps=12 * n))))
     cases += [(case.id, case.values[0]) for case in _moved() + _non_nilpotent_cases()]
+    cases += [(f"upper@{k}", alg) for k, alg in enumerate(_upper_tables(300))]
     return cases + [("planted-defect", _planted_defect())]
+
+
+def _upper_tables(count):
+    """Seeded tables of dim 3..7 with [e_i, e_j] in span(e_(j+1), ...), on a random basis.
+
+    Every such table is nilpotent, Jacobi or not, and about a third of
+    them violate it: there a [f_a, f_b] may leave L^(w_a + w_b), so a
+    transport that drops brackets by weight changes their tables.
+    """
+    rng = Lcg(1700)
+    tables = []
+    for _ in range(count):
+        n = rng.randint(3, 7)
+        mapping = {}
+        for i, j in combinations(range(n), 2):
+            if rng.randint(0, 1):
+                mapping[(i, j)] = [(m, rng.randint(-2, 2)) for m in range(j + 1, n)
+                                   if rng.randint(0, 1)]
+        tables.append(random_change_of_basis(liealg._make(n, 1, mapping), rng))
+    return tables
 
 
 def test_adapted_table_equals_the_general_transport():
     # the block construction is exact: the same canonical table as the
     # transport by the n x n inverse, on nilpotent, non-nilpotent and
     # Jacobi-violating tables alike
-    moved = 0
+    moved = violating = 0
     for label, alg in _reference_inputs():
         lcs_adapted.cache_clear()
         expected = _parent_formula(alg)
         assert lcs_adapted(alg) == expected, label
         moved += expected is not alg
-    assert moved > 60
+        violating += liealg.first_jacobi_violation(alg) is not None
+    assert moved > 400
+    assert 60 < violating < 150
+
+
+def test_last_term_of_a_heisenberg_base_change_needs_no_bracket(monkeypatch):
+    # L^2 of H(5) is a line, the last nonzero term: the walk found its
+    # [u, e_c] zero, and no other vector of the adapted basis is in L^2,
+    # so only the brackets between generators are read off the table
+    alg = change_of_basis(heisenberg(5).algebra, random_unimodular(11, Lcg(1), steps=132))
+    liealg._series(alg)
+
+    def forbidden(*args):
+        raise AssertionError("lcs_adapted formed a bracket")
+
+    monkeypatch.setattr(liealg, "_integer_brackets", forbidden)
+    monkeypatch.setattr(liealg, "_adjoint", forbidden)
+    lcs_adapted.cache_clear()
+    adapted = lcs_adapted(alg)
+    assert adapted != alg
+    monkeypatch.undo()
+    assert adapted == _parent_formula(alg)
 
 
 def test_center_of_an_equal_copy_reads_its_own_basis():

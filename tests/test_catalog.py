@@ -5,6 +5,7 @@ import pytest
 from liemult.catalog import (
     FAMILIES,
     abelian,
+    dimension,
     entry,
     heisenberg,
     heisenberg_plus_abelian,
@@ -112,6 +113,15 @@ def test_entry_dispatch():
     with pytest.raises(ValueError):
         entry("L3414", (1,))
     assert len(FAMILIES) == 6
+    # the dimension read off the parameters, which the CLI bounds before building
+    entries = standard_entries(3, 3)
+    assert {e.family for e in entries} == set(FAMILIES)
+    for e in entries:
+        assert dimension(e.family, e.params) == e.algebra.dim, e.label
+    with pytest.raises(ValueError):
+        dimension("nope", ())
+    with pytest.raises(ValueError):
+        dimension("H", ())
 
 
 @pytest.mark.parametrize("params, message", [

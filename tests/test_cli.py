@@ -214,6 +214,8 @@ def test_catalog_hplusa_parameter_errors(capsys, params, message):
     (["H", "1", "2"], "H takes 1 parameter, got 2"),
     (["A", "2", "--plus", "H"], "H takes 1 parameter, got 0"),
     (["H", "x"], "catalog parameters must be integers, got ['x']"),
+    (["A", "60000", "--plus", "A", "60000"],
+     "dimension 120000 above 100000, the largest a file may declare"),
 ])
 def test_catalog_wrong_parameter_count(capsys, argv, message):
     assert run(capsys, "catalog", *argv) == (4, "", f"error: {message}\n")
