@@ -162,6 +162,19 @@ def _max_n(text: str) -> int:
     return value
 
 
+# quotient lists all 2^(K+1) central coordinate subsets of each H(m)+A(K)
+# entry: K = 12 gives 75,181 cases in about 7.5 s, and each step up doubles it
+MAX_K = 12
+
+
+def _max_k(text: str) -> int:
+    """The abelian-summand cap, at most MAX_K so that every suite ends in about 10 s."""
+    value = _cap(text)
+    if value > MAX_K:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_K}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     from . import verify
 
@@ -194,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                               + flags)
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     p.add_argument("--max-m", type=_cap, default=verify.DEFAULT_MAX_M)
-    p.add_argument("--max-k", type=_cap, default=verify.DEFAULT_MAX_K)
+    p.add_argument("--max-k", type=_max_k, default=verify.DEFAULT_MAX_K)
     p.add_argument("--max-n", type=_max_n, default=verify.DEFAULT_MAX_N)
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.set_defaults(func=_cmd_verify)

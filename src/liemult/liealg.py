@@ -42,7 +42,12 @@ cached ``_series``, whose echelons give both the dimensions, dim L^2 among
 them, that the uncached ``lower_central_series`` reports, and
 ``lcs_basis``, a basis adapted to the flag L ⊃ L^2 ⊃ ... on which
 [L^i, L^j] ⊆ L^(i+j); ``lcs_adapted`` writes L on it, and :mod:`liemult.multiplier` ranks the
-complex there.  A quotient L/K comes from one reduced echelon of K's
+complex there.  Its generators are the unit vectors e_c off L^2's
+pivots, except for a class-2 L whose L^2 is a line span(z) off the unit
+vectors, as a base change of H(m)⊕A(k) is: there ``_darboux`` puts the
+integer form ω(e_a, e_b), the entry of [e_a, e_b] at z's pivot, on a
+Darboux basis, and the adapted table keeps one bracket per pair.  A
+quotient L/K comes from one reduced echelon of K's
 integer rows on that kernel, pivoting on each vector's largest index;
 only the stored brackets are projected.  A base change transports only
 the stored brackets, in integers, and multiplies them by the inverse
@@ -425,6 +430,65 @@ def lower_central_series(L: LieAlgebra) -> SeriesReport:
     )
 
 
+def _central_line(terms: tuple[dict[int, dict[int, int]], ...]) -> Optional[tuple[int, dict[int, int]]]:
+    """(p, z) when the series is L, L^2 = span(z), 0 and z is not a multiple of e_p, else None."""
+    if len(terms) == 2 and not terms[1] and len(terms[0]) == 1:
+        (p, z), = terms[0].items()
+        if len(z) > 1:
+            return p, z
+    return None
+
+
+@lru_cache(maxsize=32)
+def _darboux(L: LieAlgebra, p: int) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
+    """A Darboux basis x_1, y_1, ..., x_m, y_m, r_1, ... of the e_c, c != p, and the w_i.
+
+    L is of class 2 with L^2 = span(z), z pivoting at p, so each stored
+    bracket is a multiple of z and ω(e_a, e_b), the numerator at p of
+    [e_a, e_b], fixes it.  The e_c are taken in index order: the first
+    pending x with some pending y (the first such) of ω(x, y) = w != 0
+    makes a pair, and every later pending r becomes w·r + ω(y, r)·x -
+    ω(x, r)·y, its content divided out, which is ω-orthogonal to x and y
+    and keeps the span; a pending x with no such y is in the radical.
+    So ω(x_i, y_i) = w_i, ω is 0 on every other pair of basis vectors,
+    and the rows are primitive integer vectors.  ``lcs_adapted`` asks for
+    it and ``center`` again, through ``lcs_basis``, so the last 32
+    results are kept.
+    """
+    form: dict[int, dict[int, int]] = {c: {} for c in range(L.dim) if c != p}
+    for a, b, coeffs in L.brackets:
+        if a != p and b != p:
+            x = dict(coeffs)[p]
+            form[a][b], form[b][a] = x, -x
+    omega = {a: row.items() for a, row in form.items()}
+    pending = [{c: 1} for c in form]
+    basis: list[dict[int, int]] = []
+    radical: list[dict[int, int]] = []
+    weights = []
+    while pending:
+        x = pending.pop(0)
+        fx = _combine(x.items(), omega)  # ω(x, e_c) at c
+        for j, y in enumerate(pending):
+            w = sum([fx.get(c, 0) * t for c, t in y.items()])
+            if w:
+                break
+        else:
+            radical.append(x)
+            continue
+        del pending[j]
+        fy = _combine(y.items(), omega)
+        for t, r in enumerate(pending):
+            a = sum([fy.get(c, 0) * u for c, u in r.items()])
+            b = sum([fx.get(c, 0) * u for c, u in r.items()])
+            if a or b:
+                v = _combine([(0, w), (1, a), (2, -b)], (r.items(), x.items(), y.items()))
+                g = gcd(*v.values())
+                pending[t] = {c: u // g for c, u in v.items()}
+        basis += [x, y]
+        weights.append(w)
+    return tuple(tuple(sorted(v.items())) for v in basis + radical), tuple(weights)
+
+
 def lcs_basis(L: LieAlgebra) -> tuple[SparseRow, ...]:
     """A basis of L adapted to its lower central series.
 
@@ -437,8 +501,18 @@ def lcs_basis(L: LieAlgebra) -> tuple[SparseRow, ...]:
     a vector of weight k, one of L^k outside L^(k+1), brackets with one
     of weight j into L^(k+j) (or into the last term, where a
     non-nilpotent series stabilises).
+
+    One case takes other generators: for L of class 2 with L^2 = span(z)
+    and z not a multiple of a unit vector, as a base change of H(m)⊕A(k)
+    is, the e_c, c off z's pivot, are replaced by the Darboux basis of
+    ``_darboux``, and z comes last.  Any generators complete L^2, and on
+    these each [f_a, f_b] is 0 but for the m pairs [x_i, y_i] = w_i·z/z_p.
     """
     terms, _ = _series(L)
+    line = _central_line(terms)
+    if line is not None:
+        p, z = line
+        return (*_darboux(L, p)[0], tuple(sorted(z.items())))
     derived = terms[0] if terms else {}
     basis: list[SparseRow] = [((c, 1),) for c in range(L.dim) if c not in derived]
     for term, below in zip(terms, [*terms[1:], {}]):
@@ -458,25 +532,39 @@ def lcs_adapted(L: LieAlgebra) -> LieAlgebra:
     ``schur_multiplier_dim`` all ask for it, so the last 32 results are
     cached, and a hit may return an equal copy of L in place of L itself.
 
-    The basis is g unit vectors e_c, then k vectors u spanning L^2.  A
+    For a class-2 L with L^2 = span(z), z not a multiple of a unit
+    vector, the basis is ``_darboux``'s x_1, y_1, ..., x_m, y_m and
+    radical, then z, and the table is m brackets [x_i, y_i] =
+    w_i / (denom z_p) z: every stored bracket is the multiple
+    ω(e_a, e_b) / z_p of z and the walk found each [z, e_c] to be 0, so
+    every other pair is 0 by bilinearity, with no Jacobi identity.
+
+    Otherwise the basis is g unit vectors e_c, then k vectors u spanning L^2.  A
     vector of L^2, as each stored bracket is, has as coordinates its entries
     at L^2's pivots times the inverse of the u's k x k block there: a pair
     of e_c is such an image, and a pair with a u a sum of ``_integer_brackets``.
     When the walk reached 0, the last u span the last nonzero term, and
     ``_series`` already found their brackets with the e_c to be 0: its last
     layer, or its last term on the walk over every e_t, is the zero term.
-    So these u are bracketed only with the earlier u.  When no u needs a
-    bracket, as for H(m) on any basis, only the images of brackets of two
-    e_c are formed, and neither ``_adjoint`` nor ``_integer_brackets`` runs.
-    No pair is dropped for its weights: [f_a, f_b] lies in L^(w_a + w_b)
+    So these u are bracketed only with the earlier u; some u always needs
+    a bracket here, since a class-2 L with dim L^2 = 1 took one of the
+    two paths above.  No pair is dropped for its weights: [f_a, f_b] lies in L^(w_a + w_b)
     only by the Jacobi identity, and ``build`` validates outside input on
     this table.
     """
+    terms, nilpotent = _series(L)
+    n = L.dim
+    line = _central_line(terms)
+    if line is not None:
+        # the sign of z_p goes into the numerators: the denominator stays positive
+        p, z = line
+        sign = 1 if z[p] > 0 else -1
+        return _make(n, abs(z[p]) * L.denom, {(2 * i, 2 * i + 1): ((n - 1, sign * w),)
+                                              for i, w in enumerate(_darboux(L, p)[1])})
     basis = lcs_basis(L)
     if all(len(v) == 1 for v in basis):
         return L
-    terms, nilpotent = _series(L)
-    n, g = L.dim, L.dim - len(terms[0])
+    g = n - len(terms[0])
     # basis[last:] spans the last nonzero term, whose [u, e_c] the walk found 0
     last = n - len(terms[-2]) if nilpotent else n
     todo = [(b, range(0 if b < last else g, b)) for b in range(g, n)]
@@ -485,18 +573,16 @@ def lcs_adapted(L: LieAlgebra) -> LieAlgebra:
     pivots = [v[0][0] for v in basis[g:]]
     d, r = _inverse([[dict(v).get(p, 0) for p in pivots] for v in basis[g:]])
     coords = {p: [(g + b, y) for b, y in row.items()] for p, row in zip(pivots, r)}
-    brackets = L.brackets if todo else [t for t in L.brackets if t[0] in gens and t[1] in gens]
     images = [(a, b, _combine([(m, x) for m, x in coeffs if m in coords], coords).items())
-              for a, b, coeffs in brackets]
+              for a, b, coeffs in L.brackets]
     mapping = {(gens[a], gens[b]): image for a, b, image in images if a in gens and b in gens}
-    if todo:
-        ad = _adjoint(n, images)
-        for b, earlier in todo:
-            # out[t] is [e_t, u]; so [f_a, u] = sum over t of f_a[t] out[t]
-            u = [(m, -x) for m, x in basis[b]]
-            out = {t: w.items() for t, w in _integer_brackets(ad, u).items()}
-            for a in earlier:
-                mapping[(a, b)] = _combine([(t, x) for t, x in basis[a] if t in out], out).items()
+    ad = _adjoint(n, images)
+    for b, earlier in todo:
+        # out[t] is [e_t, u]; so [f_a, u] = sum over t of f_a[t] out[t]
+        u = [(m, -x) for m, x in basis[b]]
+        out = {t: w.items() for t, w in _integer_brackets(ad, u).items()}
+        for a in earlier:
+            mapping[(a, b)] = _combine([(t, x) for t, x in basis[a] if t in out], out).items()
     return _make(n, d * L.denom, mapping)
 
 

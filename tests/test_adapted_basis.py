@@ -14,11 +14,17 @@ e_t and rejects the non-nilpotent ones whose layers reach 0.  Every
 vector any caller passes to the echelon kernel is checked for explicit
 zero entries.  The adapted table, which brackets the last nonzero term
 only with the earlier vectors of L^2, is checked against the general
-transport, on Jacobi-violating tables too.
+transport, on Jacobi-violating tables too.  A class-2 algebra whose L^2
+is a line off the unit vectors takes a Darboux basis as generators: the
+pairs and the radical are checked on seeded alternating forms, base
+changes of H(m)⊕A(k) get one bracket per pair, and catalog tables never
+reach the reduction.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -430,12 +436,22 @@ def _count_block_inverses(monkeypatch):
 
 
 def test_catalog_tables_skip_the_transport(monkeypatch):
+    # nor do they reach the Darboux reduction: H(m) and H(m)⊕A(k) in the
+    # catalog have L^2 = span(e_n), a unit vector, so lcs_basis keeps the e_c
+    def forbidden(*args):
+        raise AssertionError("reached the Darboux reduction")
+
     moved = change_of_basis(_filiform(6), random_unimodular(6, Lcg(5)))
+    h2 = change_of_basis(heisenberg(2).algebra, random_unimodular(5, Lcg(1300), steps=60))
     calls = _count_block_inverses(monkeypatch)
+    monkeypatch.setattr(liealg, "_darboux", forbidden)
+    clear_caches()
     for alg in _catalog_tables():
         assert lcs_adapted(alg) == alg
         schur_multiplier_dim.__wrapped__(alg)
     assert calls == []
+    with pytest.raises(AssertionError, match="Darboux"):
+        lcs_basis(h2)
 
     # a base change that mixes the flag is transported, once, through the
     # inverse of the 4 x 4 block of L^2 = span(e3..e6)'s pivots
@@ -477,12 +493,39 @@ def _planted_defect():
     return change_of_basis(bad, random_unimodular(3, Lcg(23)))
 
 
+def _h_plus_a_dim_m(m, k):
+    """dim M(H(m)⊕A(k)) by the Künneth formula: 2 for H(1), 2m²−m−1 for m ≥ 2, plus k(k−1)/2 + 2mk."""
+    return (2 if m == 1 else 2 * m * m - m - 1) + k * (k - 1) // 2 + 2 * m * k
+
+
+def _darboux_inputs():
+    """(label, m, k, base change of H(m)⊕A(k)) whose L^2 is a line off the unit vectors.
+
+    The 12n-step base changes of H(2..5) and of three H(m)⊕A(k), which
+    all get there, and every base change of an H(m)⊕A(k) in
+    ``build_population(4, 3, 7)`` that does.
+    """
+    cases = []
+    dense = [(1300 + m - 2, m, 0) for m in range(2, 6)] + [(1310, 1, 4), (1311, 2, 2), (1312, 3, 1)]
+    for seed, m, k in dense:
+        n = 2 * m + 1 + k
+        base = heisenberg(m) if k == 0 else heisenberg_plus_abelian(m, k)
+        cases.append((f"{base.label}@dense", m, k,
+                      change_of_basis(base.algebra, random_unimodular(n, Lcg(seed), steps=12 * n))))
+    for c in build_population(4, 3, 7):
+        hit = re.fullmatch(r"cob\[HplusA\((\d),(\d)\),\d\]", c.case_id)
+        if hit and liealg._central_line(liealg._series(c.algebra)[0]) is not None:
+            cases.append((c.case_id, int(hit[1]), int(hit[2]), c.algebra))
+    return cases
+
+
 def _reference_inputs():
+    # the population holds the base changes of H(m)⊕A(k) that _darboux_inputs picks
     cases = [(c.case_id, c.algebra) for c in build_population(4, 3, 7)]
-    bases = [(f"H({m})", heisenberg(m).algebra) for m in range(2, 6)]
-    bases += [(f"filiform({n})", _filiform(n)) for n in range(6, 11)]
+    cases += [(label, alg) for label, _, _, alg in _darboux_inputs() if label.endswith("@dense")]
+    bases = [(f"filiform({n})", _filiform(n)) for n in range(6, 11)]
     bases += [("L4524", l_4_5_2_4().algebra)]
-    for seed, (label, alg) in enumerate(bases, 1300):
+    for seed, (label, alg) in enumerate(bases, 1304):
         n = alg.dim
         cases.append((f"{label}@dense",
                       change_of_basis(alg, random_unimodular(n, Lcg(seed), steps=12 * n))))
@@ -526,10 +569,71 @@ def test_adapted_table_equals_the_general_transport():
     assert 60 < violating < 150
 
 
+def test_heisenberg_base_changes_get_one_bracket_per_darboux_pair():
+    # the generators are a Darboux basis x_1, y_1, ..., x_m, y_m and the
+    # radical: the table keeps [x_i, y_i] into z, the last basis vector
+    cases = _darboux_inputs()
+    assert len(cases) == 7 + 27
+    for label, m, k, alg in cases:
+        n = alg.dim
+        lcs_adapted.cache_clear()
+        adapted = lcs_adapted(alg)
+        assert [(i, j, [t for t, _ in coeffs]) for i, j, coeffs in adapted.brackets] == [
+            (2 * i, 2 * i + 1, [n - 1]) for i in range(m)], label
+        assert adapted == _parent_formula(alg), label
+        clear_caches()
+        assert schur_multiplier_dim(alg).dim_m == _h_plus_a_dim_m(m, k), label
+        assert center(alg).dim == 1 + k, label
+
+
+def _form_algebra(g, form):
+    """The algebra on e_0..e_g with [e_a, e_b] = form[a][b] e_g: class 2, or abelian for the 0 form."""
+    return liealg._make(g + 1, 1, {(a, b): [(g, form[a][b])] for a, b in combinations(range(g), 2)})
+
+
+def _random_forms(count):
+    """Seeded alternating integer forms on g <= 9 generators, a sum of r wedges u∧v of rank <= 2r."""
+    rng = Lcg(2800)
+    forms = []
+    for _ in range(count):
+        g = rng.randint(1, 9)
+        form = [[0] * g for _ in range(g)]
+        for _ in range(rng.randint(0, g // 2 + 1)):
+            u = [rng.randint(-2, 2) for _ in range(g)]
+            v = [rng.randint(-2, 2) for _ in range(g)]
+            for a in range(g):
+                for b in range(g):
+                    form[a][b] += u[a] * v[b] - u[b] * v[a]
+        forms.append((g, form))
+    return forms
+
+
+def test_darboux_reduction_on_random_alternating_forms():
+    ranks = set()
+    for g, form in _random_forms(300):
+        def omega(u, v):
+            return sum(x * form[a][b] * y for a, x in u for b, y in v)
+
+        rows, weights = liealg._darboux.__wrapped__(_form_algebra(g, form), g)
+        m = len(weights)
+        rank = len(reduced_rows(form))
+        ranks.add(rank)
+        assert 2 * m == rank and all(weights)
+        for a, b in combinations(range(g), 2):
+            want = weights[a // 2] if b == a + 1 and a % 2 == 0 and b < 2 * m else 0
+            assert omega(rows[a], rows[b]) == want
+        # the radical is orthogonal to every e_c, not only to the other rows
+        for r in rows[2 * m:]:
+            assert all(omega(r, [(c, 1)]) == 0 for c in range(g))
+        assert len(reduced_rows([_dense(g, v) for v in rows])) == g
+        assert all(gcd(*(x for _, x in v)) == 1 for v in rows)
+    assert ranks == {0, 2, 4, 6, 8}
+
+
 def test_last_term_of_a_heisenberg_base_change_needs_no_bracket(monkeypatch):
     # L^2 of H(5) is a line, the last nonzero term: the walk found its
-    # [u, e_c] zero, and no other vector of the adapted basis is in L^2,
-    # so only the brackets between generators are read off the table
+    # [u, e_c] zero, and the generators are a Darboux basis, so the
+    # table is written from the form ω without forming a bracket
     alg = change_of_basis(heisenberg(5).algebra, random_unimodular(11, Lcg(1), steps=132))
     liealg._series(alg)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from liemult import classifier, verify
+from liemult import classifier, cli, verify
 from liemult.classifier import Fingerprint
 from liemult.cli import main
 
@@ -258,6 +258,19 @@ def test_verify_rejects_max_n_below_three(capsys, value):
     assert exc.value.code == 2
     assert captured.out == ""
     assert f"error: argument --max-n: must be at least 3, got {value}" in captured.err
+
+
+def test_verify_refuses_max_k_above_its_bound(capsys):
+    # quotient lists 2^(K+1) central coordinate subsets per H(m)+A(K)
+    # entry, so K = 13 would run twice as long as the bound, and K = 30 never ends
+    assert cli.build_parser().parse_args(
+        ["verify", "--suite", "quotient", "--max-k", str(cli.MAX_K)]).max_k == cli.MAX_K == 12
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "quotient", "--max-k", str(cli.MAX_K + 1)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "error: argument --max-k: must be at most 12, got 13" in captured.err
 
 
 def test_verify_cap_must_be_an_integer(capsys):
