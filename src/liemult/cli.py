@@ -175,6 +175,19 @@ def _max_k(text: str) -> int:
     return value
 
 
+# classification grows about as M^3.3 at the default K: M = 32 gives 2,505
+# cases in about 9 s, and M = 36 took 14.5 s
+MAX_M = 32
+
+
+def _max_m(text: str) -> int:
+    """The Heisenberg cap, at most MAX_M so that every suite ends in about 10 s at the default K."""
+    value = _cap(text)
+    if value > MAX_M:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_M}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     from . import verify
 
@@ -206,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog="flags each suite reads (it accepts and ignores the others):\n"
                               + flags)
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
-    p.add_argument("--max-m", type=_cap, default=verify.DEFAULT_MAX_M)
+    p.add_argument("--max-m", type=_max_m, default=verify.DEFAULT_MAX_M)
     p.add_argument("--max-k", type=_max_k, default=verify.DEFAULT_MAX_K)
     p.add_argument("--max-n", type=_max_n, default=verify.DEFAULT_MAX_N)
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)

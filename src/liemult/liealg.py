@@ -7,11 +7,14 @@ denominator of all structure constants.  That form is canonical, so
 equality and the hash read it directly, and antisymmetry is structural.
 ``table`` derives the dense Fraction vectors on demand for readers that
 want them, with ``linalg._dense``, which also writes the defect of a
-``JacobiViolation``; nothing here computes with them.  Every constructor
-(``build``, ``direct_sum``, ``quotient``, ``change_of_basis``) ends in
+``JacobiViolation``; nothing here computes with them.  The derived
+constructors (``direct_sum``, ``quotient``, ``change_of_basis``) end in
 ``_make``, which reduces numerators and denominator by their common gcd
-and sorts the brackets; ``build`` takes int coefficients as they are and
-makes a Fraction of no other.  ``first_jacobi_violation`` is the one
+and sorts the brackets.  ``build`` writes the stored form in the one pass
+that validates its input: it keeps an int as it is, makes a Fraction of
+no other, and rescales numerators only when some denominator is above
+1, where their gcd with the lcm of the denominators is 1 already.
+``first_jacobi_violation`` is the one
 Jacobi test: ``build``, the one constructor fed outside input, runs it
 on ``lcs_adapted(L)``, as the identity holds on every basis or on none,
 and scans the original table only to name the first failing triple of an
@@ -37,7 +40,12 @@ and S_(j+1) = [S_j, C], so each layer vector meets C once, and the terms
 L^k = S_k + L^(k+1) are built from the zero term up.  They are the
 series exactly when the layers reach 0 and add up to L^2, one echelon
 size; an algebra that fails that test is not nilpotent and is walked
-again with every e_t.  The series is walked once per algebra, by the
+again with every e_t.  When L^2 is a line span(z), every stored bracket
+is ω(e_a, e_b)/z_p · z for the integer form ω read at z's pivot p, so
+[z, e_t] = ω(z, e_t)/z_p · z by bilinearity: one pass over the stored
+brackets decides whether [z, C] = 0, and when it is, with some bracket
+between generators, the series is L, L^2, 0, with no bracket formed.
+The series is walked once per algebra, by the
 cached ``_series``, whose echelons give both the dimensions, dim L^2 among
 them, that the uncached ``lower_central_series`` reports, and
 ``lcs_basis``, a basis adapted to the flag L ⊃ L^2 ⊃ ... on which
@@ -63,10 +71,10 @@ and the adapted table of a Jacobi-violating input stays exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from .linalg import (
     AmbientMismatch,
@@ -205,41 +213,68 @@ def build(
     matching the e1..en naming used in lieconst files; the coefficients
     of [e_i, e_j] are a vector of length dim, or a mapping from basis
     index k (1-based, e_k) to coefficient.  Unlisted brackets are zero.
-    Raises IndexOutOfRange, DuplicateBracket or JacobiViolation.
+    Raises IndexOutOfRange, DuplicateBracket or JacobiViolation, and what
+    ``rat`` raises on a value it refuses, each at the first fault in
+    input order: a bracket's indices, then its coefficients (a key's
+    range before its value), then the duplicate test; a vector's length
+    is checked once all its values are read.
+
+    The stored form is written in the same pass: an int is kept as it
+    is, any other value goes through ``rat``, and a Fraction with
+    denominator 1 becomes its int numerator; the rest are rescaled to
+    the lcm of their denominators at the end, only when it is above 1.
+    For each prime of that lcm, the value whose reduced denominator
+    holds the prime's highest power gets a numerator prime to it, so
+    numerators and denom share no factor and ``_make``'s gcd step has
+    nothing to divide.
     """
     if dim < 0:
         raise IndexOutOfRange(f"dimension must be non-negative, got {dim}")
-    mapping: dict[tuple[int, int], dict[int, Union[int, Fraction]]] = {}
+    seen = set()
+    items = []
+    denom = 1
     for i, j, coeffs in brackets:
         if not (1 <= i < j <= dim):
             raise IndexOutOfRange(
                 f"bracket [e{i},e{j}] violates 1 <= i < j <= {dim}"
             )
-        if isinstance(coeffs, Mapping):
-            sparse = {}
-            for k, x in coeffs.items():
-                if not (1 <= k <= dim):
-                    raise IndexOutOfRange(
-                        f"coefficient of [e{i},e{j}] names e{k}, outside 1..{dim}"
-                    )
-                sparse[k - 1] = x if isinstance(x, int) else rat(x)
-        else:
-            coeffs = [x if isinstance(x, int) else rat(x) for x in coeffs]
-            if len(coeffs) != dim:
+        # a mapping names its indices, which are checked; a vector's length is
+        # its last index, checked once every value in it is read
+        named = isinstance(coeffs, Mapping)
+        nz = []
+        k = 0
+        for k, x in (coeffs.items() if named else enumerate(coeffs, 1)):
+            if named and not (1 <= k <= dim):
                 raise IndexOutOfRange(
-                    f"coefficient vector for [e{i},e{j}] has length "
-                    f"{len(coeffs)}, expected {dim}"
+                    f"coefficient of [e{i},e{j}] names e{k}, outside 1..{dim}"
                 )
-            sparse = {m: x for m, x in enumerate(coeffs) if x}
+            if type(x) is not int:
+                x = rat(x)
+                if x.denominator == 1:
+                    x = x.numerator
+                else:
+                    denom = lcm(denom, x.denominator)
+            if x:
+                nz.append((k - 1, x))
+        if named:
+            nz.sort()
+        elif k != dim:
+            raise IndexOutOfRange(
+                f"coefficient vector for [e{i},e{j}] has length {k}, expected {dim}"
+            )
         key = (i - 1, j - 1)
-        if key in mapping:
+        if key in seen:
             raise DuplicateBracket(f"bracket [e{i},e{j}] given twice")
-        mapping[key] = sparse
-    denom = lcm(*(x.denominator for c in mapping.values() for x in c.values()))
-    alg = _make(dim, denom, {
-        key: [(m, x.numerator * (denom // x.denominator)) for m, x in c.items()]
-        for key, c in mapping.items()
-    })
+        seen.add(key)
+        if nz:
+            items.append((*key, nz))
+    items.sort()
+    if denom == 1:
+        stored = tuple((i, j, tuple(nz)) for i, j, nz in items)
+    else:
+        stored = tuple((i, j, tuple((m, x.numerator * (denom // x.denominator)) for m, x in nz))
+                       for i, j, nz in items)
+    alg = LieAlgebra(dim, denom, stored)
     # the Jacobi identity holds on every basis or on none, and the adapted
     # table, which the multiplier ranks on too, has far fewer constants
     if first_jacobi_violation(lcs_adapted(alg)) is None:
@@ -358,6 +393,16 @@ def _integer_brackets(ad: list, v: Iterable[tuple[int, int]],
     return {t: nz for t, acc in out.items() if (nz := {r: y for r, y in acc.items() if y})}
 
 
+def _omega(brackets: Brackets) -> Iterator[tuple[int, int, int]]:
+    """(a, b, ω(e_a, e_b)) per stored bracket of an L whose L^2 is a line span(z).
+
+    ω(e_a, e_b) is the numerator of [e_a, e_b] at z's pivot p, so that
+    [e_a, e_b] = ω(e_a, e_b)/z_p · z.  A stored bracket is a nonzero
+    multiple of z, so its support is z's and its first entry sits at p.
+    """
+    return ((a, b, coeffs[0][1]) for a, b, coeffs in brackets)
+
+
 @lru_cache(maxsize=1024)
 def _series(L: LieAlgebra) -> tuple[tuple[dict[int, dict[int, int]], ...], bool]:
     """Echelons of the distinct terms L^2, L^3, ..., and whether the series reached 0.
@@ -384,6 +429,17 @@ def _series(L: LieAlgebra) -> tuple[tuple[dict[int, dict[int, int]], ...], bool]
       generates it, and its class is at most dim L^2 + 1, so its layers
       reach 0 within the bound.
 
+    L^2 a line span(z), z pivoting at p, is decided before any bracket
+    is formed.  Each stored bracket lies in L^2, so it is
+    ω(e_a, e_b)/z_p · z with ω(e_a, e_b) its numerator at p (``_omega``),
+    and by bilinearity alone [z, e_t] = ω(z, e_t)/z_p · z, where
+    ω(z, e_t) = sum over m of z_m ω(e_m, e_t).  So when some stored
+    bracket lies between two generators (S_2 = L^2) and ω(z, e_t) = 0
+    for every t != p (S_3 = [z, C] = 0), the walk would return L^2, 0
+    and nilpotent, and one pass over the stored brackets returns that,
+    with no adjoint.  Any other line, with no bracket between generators
+    or some ω(z, e_t) != 0 off p, goes on to the walk.
+
     If no layer is 0 or the sizes differ, L is not nilpotent, and the
     series is walked from L^2 with every e_t: T_(k+1) is the echelon of
     the [v, e_t] for v in T_k's echelon.  That walk stops at the zero
@@ -394,6 +450,20 @@ def _series(L: LieAlgebra) -> tuple[tuple[dict[int, dict[int, int]], ...], bool]
     derived = _echelon(coeffs for _, _, coeffs in L.brackets)
     if not derived:
         return ((derived,) if L.dim else ()), True
+    if len(derived) == 1:
+        # [z, e_t] = ω(z, e_t)/z_p · z by bilinearity: S_3 = 0 iff ω(z, e_t) = 0 off p
+        (p, z), = derived.items()
+        between = False
+        wz: dict[int, int] = {}
+        for a, b, w in _omega(L.brackets):
+            if a != p and b != p:
+                between = True
+            if a in z:
+                wz[b] = wz.get(b, 0) + z[a] * w
+            if b in z:
+                wz[a] = wz.get(a, 0) - z[b] * w
+        if between and not any(y for t, y in wz.items() if t != p):
+            return (derived, {}), True
     ad = _adjoint(L.dim, L.brackets)
     cc = [coeffs for i, j, coeffs in L.brackets if i not in derived and j not in derived]
     layers = [derived if len(cc) == len(L.brackets) else _echelon(cc, limit=len(derived))]
@@ -456,9 +526,8 @@ def _darboux(L: LieAlgebra, p: int) -> tuple[tuple[SparseRow, ...], tuple[int, .
     results are kept.
     """
     form: dict[int, dict[int, int]] = {c: {} for c in range(L.dim) if c != p}
-    for a, b, coeffs in L.brackets:
+    for a, b, x in _omega(L.brackets):
         if a != p and b != p:
-            x = dict(coeffs)[p]
             form[a][b], form[b][a] = x, -x
     omega = {a: row.items() for a, row in form.items()}
     pending = [{c: 1} for c in form]

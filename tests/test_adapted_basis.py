@@ -18,7 +18,8 @@ transport, on Jacobi-violating tables too.  A class-2 algebra whose L^2
 is a line off the unit vectors takes a Darboux basis as generators: the
 pairs and the radical are checked on seeded alternating forms, base
 changes of H(m)⊕A(k) get one bracket per pair, and catalog tables never
-reach the reduction.
+reach the reduction.  A series whose L^2 is a line is decided from ω
+alone, with no bracket formed, and equals what the walk returns.
 """
 
 import re
@@ -647,6 +648,79 @@ def test_last_term_of_a_heisenberg_base_change_needs_no_bracket(monkeypatch):
     assert adapted != alg
     monkeypatch.undo()
     assert adapted == _parent_formula(alg)
+
+
+def _walk_alone(monkeypatch, alg):
+    """``_series(alg)`` by the layer walk and the walk over every e_t, as without the line case.
+
+    With no ω read, the line case finds no bracket between generators
+    and falls through to the walk, which is otherwise unchanged.
+    """
+    with monkeypatch.context() as patch:
+        patch.setattr(liealg, "_omega", lambda brackets: iter(()))
+        liealg._series.cache_clear()
+        out = liealg._series(alg)
+    liealg._series.cache_clear()
+    return out
+
+
+def _line_cases():
+    """(label, algebra, whether the line case decides it): L^2 is a line in each."""
+    cases = [(c.case_id, c.algebra, True) for c in build_population(4, 3, 7)
+             if lower_central_series(c.algebra).derived_dim == 1]
+    cases += [(label, alg, True) for label, _, _, alg in _darboux_inputs()]
+    cases += [(e.label, e.algebra, True) for e in standard_entries(4, 3)
+              if e.label.startswith(("H(", "HplusA("))]
+    # not nilpotent: [z, e_t] is a nonzero multiple of z for some t off p,
+    # or no stored bracket lies between two generators
+    lines = {"[e1,e2]=e3,[e1,e3]=e3": build(3, [(1, 2, {3: 1}), (1, 3, {3: 1})]),
+             "[e1,e2]=e2": build(2, [(1, 2, {2: 1})]),
+             "[e1,e2]=e1 in dim 3": build(3, [(1, 2, {1: 1})])}
+    for seed, (label, alg) in enumerate(lines.items(), 1400):
+        n = alg.dim
+        cases.append((label, alg, False))
+        cases.append((f"{label}@dense", change_of_basis(alg, random_unimodular(n, Lcg(seed), steps=12 * n)),
+                      False))
+    return cases
+
+
+def test_line_case_of_the_series_equals_the_walk(monkeypatch):
+    # the line case returns (L^2, 0) from one pass over ω; the walk, and
+    # the dense Fraction reference, give the same echelons and flag
+    decided = 0
+    cases = _line_cases()
+    for label, alg, nilpotent in cases:
+        seen = []
+        adjoint = liealg._adjoint
+        with monkeypatch.context() as patch:
+            patch.setattr(liealg, "_adjoint", lambda n, brackets: seen.append(n) or adjoint(n, brackets))
+            liealg._series.cache_clear()
+            got = liealg._series(alg)
+        walked = _walk_alone(monkeypatch, alg)
+        assert got == walked and repr(got) == repr(walked), label
+        reference = lower_central_terms(alg)
+        assert tuple(len(t) for t in reference) == (alg.dim, *map(len, got[0])), label
+        for echelon, term in zip(got[0], reference[1:]):
+            assert reduced_rows([_dense(alg.dim, v.items()) for v in echelon.values()]) == term, label
+        assert got[1] is nilpotent, label
+        assert (seen == []) is nilpotent, label
+        decided += nilpotent
+    assert decided == len(cases) - 6 > 290
+
+
+def test_series_of_a_heisenberg_base_change_forms_no_bracket(monkeypatch):
+    # L^2 = span(z) and ω(z, e_t) = 0 off z's pivot: [z, C] = 0 without
+    # the adjoint or a single bracket of z
+    alg = change_of_basis(heisenberg(5).algebra, random_unimodular(11, Lcg(1), steps=132))
+
+    def forbidden(*args):
+        raise AssertionError("_series formed a bracket")
+
+    clear_caches()
+    monkeypatch.setattr(liealg, "_integer_brackets", forbidden)
+    monkeypatch.setattr(liealg, "_adjoint", forbidden)
+    terms, nilpotent = liealg._series(alg)
+    assert (tuple(map(len, terms)), nilpotent) == ((1, 0), True)
 
 
 def test_center_of_an_equal_copy_reads_its_own_basis():

@@ -273,6 +273,19 @@ def test_verify_refuses_max_k_above_its_bound(capsys):
     assert "error: argument --max-k: must be at most 12, got 13" in captured.err
 
 
+def test_verify_refuses_max_m_above_its_bound(capsys):
+    # classification grows about as M^3.3 at the default K, so
+    # --max-m 1000 would run for hours
+    assert cli.build_parser().parse_args(
+        ["verify", "--suite", "classification", "--max-m", str(cli.MAX_M)]).max_m == cli.MAX_M == 32
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "classification", "--max-m", str(cli.MAX_M + 1)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "error: argument --max-m: must be at most 32, got 33" in captured.err
+
+
 def test_verify_cap_must_be_an_integer(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "formulas", "--max-m", "two"])

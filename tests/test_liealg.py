@@ -116,6 +116,61 @@ def test_build_rejects_duplicates():
         build(3, [(1, 2, e(3, 3)), (1, 2, e(3, 3))])
 
 
+def _error(call, *args):
+    """(class, message) of what ``call(*args)`` raises."""
+    with pytest.raises(Exception) as exc:
+        call(*args)
+    return exc.type, str(exc.value)
+
+
+# what Fraction() refuses: a non-numeric string, a zero denominator, no number at all
+BAD_VALUES = ("x", "1/0", None)
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_build_raises_the_first_error_in_input_order(bad):
+    # each bracket's indices, then its coefficients in order (a key's range
+    # before its value), then the duplicate test, and a vector's length
+    # only once every value in it has been read
+    refused = _error(Fraction, bad)
+    dup = (DuplicateBracket, "bracket [e1,e2] given twice")
+    for brackets, want in (
+            ([(1, 2, {3: bad, 5: 1})], refused),
+            ([(1, 2, {5: 1, 3: bad})], (IndexOutOfRange, "coefficient of [e1,e2] names e5, outside 1..3")),
+            ([(1, 2, {5: bad})], (IndexOutOfRange, "coefficient of [e1,e2] names e5, outside 1..3")),
+            ([(1, 2, [0, bad])], refused),
+            ([(1, 2, [bad, 0, 0, 0])], refused),
+            ([(1, 2, [0, 1])], (IndexOutOfRange, "coefficient vector for [e1,e2] has length 2, expected 3")),
+            ([(2, 1, [bad])], (IndexOutOfRange, "bracket [e2,e1] violates 1 <= i < j <= 3")),
+            ([(1, 2, e(3, 3)), (1, 2, [0, 0, bad])], refused),
+            ([(1, 2, e(3, 3)), (1, 2, {3: bad})], refused),
+            ([(1, 2, [0, 0, bad]), (1, 2, e(3, 3))], refused),
+            ([(1, 2, e(3, 3)), (1, 2, {9: 1})], (IndexOutOfRange, "coefficient of [e1,e2] names e9, outside 1..3")),
+            ([(1, 2, e(3, 3)), (1, 2, [0, 0])], (IndexOutOfRange, "coefficient vector for [e1,e2] has length 2, expected 3")),
+            ([(1, 2, [0, 0, 0]), (1, 2, {})], dup),
+            ([(1, 2, e(3, 3)), (1, 2, [0, 0, "1/2"])], dup),
+            ([(1, 3, {2: 1}), (1, 2, e(3, 3)), (1, 3, [Fraction(1, 2), 0, 0])], (
+                DuplicateBracket, "bracket [e1,e3] given twice"))):
+        assert _error(build, 3, brackets) == want, brackets
+
+
+def test_build_stores_integer_numerators_over_the_least_common_denominator():
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+    for brackets, denom, stored in (
+            ([(1, 2, [0, 0, half])], 2, ((0, 1, ((2, 1),)),)),
+            ([(1, 2, {3: half}), (1, 3, {2: third})], 6, ((0, 1, ((2, 3),)), (0, 2, ((1, -4),)))),
+            ([(1, 3, {2: "-2/3"}), (1, 2, [0, 0, 0.5])], 6, ((0, 1, ((2, 3),)), (0, 2, ((1, -4),)))),
+            ([(1, 2, [0, 0, Fraction(3, 1)])], 1, ((0, 1, ((2, 3),)),)),
+            ([(1, 2, {3: Fraction(6, 2), 1: Fraction(0, 5)})], 1, ((0, 1, ((2, 3),)),)),
+            ([(1, 2, [0, 0, 2]), (1, 3, [0, Fraction(4, 3), 0])], 3, ((0, 1, ((2, 6),)), (0, 2, ((1, 4),)))),
+            ([(1, 2, {3: 5, 2: 0})], 1, ((0, 1, ((2, 5),)),)),
+            ([(1, 3, [0, 0, 0]), (1, 2, [0, 0, True])], 1, ((0, 1, ((2, 1),)),))):
+        alg = build(3, brackets)
+        assert (alg.denom, alg.brackets) == (denom, stored), brackets
+        assert all(type(a) is int for _, _, coeffs in alg.brackets for _, a in coeffs)
+        assert type(alg.denom) is int
+
+
 def test_bracket_bilinear_antisymmetric():
     h1 = heisenberg(1).algebra
     e1, e2 = vector([1, 0, 0]), vector([0, 1, 0])
