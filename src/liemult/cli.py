@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import catalog
 from .classifier import AbelianAlgebra, Status, classify
@@ -162,30 +162,23 @@ def _max_n(text: str) -> int:
     return value
 
 
+def _at_most(bound: int) -> Callable[[str], int]:
+    """A verify cap of at most ``bound``, so that every suite ends in about 10 s."""
+    def capped(text: str) -> int:
+        value = _cap(text)
+        if value > bound:
+            raise argparse.ArgumentTypeError(f"must be at most {bound}, got {value}")
+        return value
+    return capped
+
+
 # quotient lists all 2^(K+1) central coordinate subsets of each H(m)+A(K)
 # entry: K = 12 gives 75,181 cases in about 7.5 s, and each step up doubles it
 MAX_K = 12
 
-
-def _max_k(text: str) -> int:
-    """The abelian-summand cap, at most MAX_K so that every suite ends in about 10 s."""
-    value = _cap(text)
-    if value > MAX_K:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_K}, got {value}")
-    return value
-
-
 # classification grows about as M^3.3 at the default K: M = 32 gives 2,505
 # cases in about 9 s, and M = 36 took 14.5 s
 MAX_M = 32
-
-
-def _max_m(text: str) -> int:
-    """The Heisenberg cap, at most MAX_M so that every suite ends in about 10 s at the default K."""
-    value = _cap(text)
-    if value > MAX_M:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_M}, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog="flags each suite reads (it accepts and ignores the others):\n"
                               + flags)
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
-    p.add_argument("--max-m", type=_max_m, default=verify.DEFAULT_MAX_M)
-    p.add_argument("--max-k", type=_max_k, default=verify.DEFAULT_MAX_K)
+    p.add_argument("--max-m", type=_at_most(MAX_M), default=verify.DEFAULT_MAX_M)
+    p.add_argument("--max-k", type=_at_most(MAX_K), default=verify.DEFAULT_MAX_K)
     p.add_argument("--max-n", type=_max_n, default=verify.DEFAULT_MAX_N)
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.set_defaults(func=_cmd_verify)

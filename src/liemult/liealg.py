@@ -21,8 +21,9 @@ and scans the original table only to name the first failing triple of an
 invalid one.  Algebras derived from valid ones (sums, quotients by
 ideals, base changes) are valid by construction, and the multiplier
 re-checks only ``lcs_adapted(L)``.  ``center`` takes its kernel there
-too, so a request shares the one adapted table, which ``lcs_adapted``
-keeps in its own 32-entry cache.
+too and maps it back through the adapted basis.  ``lcs_adapted`` returns
+that basis with the table and keeps the last 32 pairs, so a request
+works both out once.
 
 The Jacobi check, the center, the lower central series, the ideal test
 and the boundary maps of :mod:`liemult.multiplier` all read the stored
@@ -30,7 +31,7 @@ integer brackets.  The Jacobi check sums each stored bracket's
 contribution into its sorted triple, so its cost grows with the nonzero
 structure constants.  The center is the kernel of the stacked adjoint
 of the adapted table, built as sparse integer rows and mapped back
-through ``lcs_basis``; each term of the lower central series, and
+through the adapted basis; each term of the lower central series, and
 the test [L, S] ⊆ S, is echeloned by the exact fraction-free kernel of
 :mod:`liemult.linalg` that also computes ``linalg.rank``; L^2 is the
 echelon of the stored bracket vectors themselves.  Past L^2 the walk
@@ -47,12 +48,13 @@ brackets decides whether [z, C] = 0, and when it is, with some bracket
 between generators, the series is L, L^2, 0, with no bracket formed.
 The series is walked once per algebra, by the
 cached ``_series``, whose echelons give both the dimensions, dim L^2 among
-them, that the uncached ``lower_central_series`` reports, and
-``lcs_basis``, a basis adapted to the flag L ⊃ L^2 ⊃ ... on which
-[L^i, L^j] ⊆ L^(i+j); ``lcs_adapted`` writes L on it, and :mod:`liemult.multiplier` ranks the
-complex there.  Its generators are the unit vectors e_c off L^2's
-pivots, except for a class-2 L whose L^2 is a line span(z) off the unit
-vectors, as a base change of H(m)⊕A(k) is: there ``_darboux`` puts the
+them, that the uncached ``lower_central_series`` reports, and the
+basis of ``lcs_adapted``, adapted to the flag L ⊃ L^2 ⊃ ... so that
+[L^i, L^j] ⊆ L^(i+j); ``lcs_adapted`` returns it with L written on it,
+and :mod:`liemult.multiplier` ranks the complex there.  Its generators
+are the unit vectors e_c off L^2's pivots, except for a class-2 L whose
+L^2 is a line span(z) off the unit vectors, as a base change of
+H(m)⊕A(k) is: there ``_darboux`` puts the
 integer form ω(e_a, e_b), the entry of [e_a, e_b] at z's pivot, on a
 Darboux basis, and the adapted table keeps one bracket per pair.  A
 quotient L/K comes from one reduced echelon of K's
@@ -277,7 +279,7 @@ def build(
     alg = LieAlgebra(dim, denom, stored)
     # the Jacobi identity holds on every basis or on none, and the adapted
     # table, which the multiplier ranks on too, has far fewer constants
-    if first_jacobi_violation(lcs_adapted(alg)) is None:
+    if first_jacobi_violation(lcs_adapted(alg).table) is None:
         return alg
     bad = first_jacobi_violation(alg)
     if bad is None:
@@ -340,24 +342,22 @@ def center(L: LieAlgebra) -> Subspace:
     Row (j, t) of the stacked adjoint holds, at index m, the integer
     coefficient of e_t in [e_m, e_j]; only nonzero brackets give entries,
     and the adapted table has far fewer.  A kernel row z there is the
-    element sum_a z_a f_a of L, f_a the a-th vector of ``lcs_basis(L)``.
-    An adapted table equal to L has L's own kernel.  The test is ``==``,
-    not ``is``: a cache hit of ``lcs_adapted`` may return an equal copy
-    of an untransported L, whose ``lcs_basis`` can still permute the e_c.
+    element sum_a z_a f_a of L, f_a the a-th adapted basis vector, unless
+    each f_a is a multiple of one e_c: then the table is L, and so is
+    the kernel.
     """
     n = L.dim
     if L.is_abelian:
         return Subspace.full(n)
-    adapted = lcs_adapted(L)
+    basis, adapted = lcs_adapted(L)
     rows: dict[tuple[int, int], dict[int, int]] = {}
     for i, j, coeffs in adapted.brackets:
         for t, x in coeffs:
             rows.setdefault((j, t), {})[i] = x
             rows.setdefault((i, t), {})[j] = -x
     kernel = _kernel(n, rows.values())
-    if adapted == L:
+    if all(len(v) == 1 for v in basis):
         return kernel
-    basis = lcs_basis(L)
     return _span(n, (_combine(z, basis) for z in kernel.rows))
 
 
@@ -500,16 +500,6 @@ def lower_central_series(L: LieAlgebra) -> SeriesReport:
     )
 
 
-def _central_line(terms: tuple[dict[int, dict[int, int]], ...]) -> Optional[tuple[int, dict[int, int]]]:
-    """(p, z) when the series is L, L^2 = span(z), 0 and z is not a multiple of e_p, else None."""
-    if len(terms) == 2 and not terms[1] and len(terms[0]) == 1:
-        (p, z), = terms[0].items()
-        if len(z) > 1:
-            return p, z
-    return None
-
-
-@lru_cache(maxsize=32)
 def _darboux(L: LieAlgebra, p: int) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
     """A Darboux basis x_1, y_1, ..., x_m, y_m, r_1, ... of the e_c, c != p, and the w_i.
 
@@ -521,9 +511,7 @@ def _darboux(L: LieAlgebra, p: int) -> tuple[tuple[SparseRow, ...], tuple[int, .
     ω(x, r)·y, its content divided out, which is ω-orthogonal to x and y
     and keeps the span; a pending x with no such y is in the radical.
     So ω(x_i, y_i) = w_i, ω is 0 on every other pair of basis vectors,
-    and the rows are primitive integer vectors.  ``lcs_adapted`` asks for
-    it and ``center`` again, through ``lcs_basis``, so the last 32
-    results are kept.
+    and the rows are primitive integer vectors.
     """
     form: dict[int, dict[int, int]] = {c: {} for c in range(L.dim) if c != p}
     for a, b, x in _omega(L.brackets):
@@ -558,8 +546,16 @@ def _darboux(L: LieAlgebra, p: int) -> tuple[tuple[SparseRow, ...], tuple[int, .
     return tuple(tuple(sorted(v.items())) for v in basis + radical), tuple(weights)
 
 
-def lcs_basis(L: LieAlgebra) -> tuple[SparseRow, ...]:
-    """A basis of L adapted to its lower central series.
+class Adapted(NamedTuple):
+    """A basis of L adapted to its lower central series, and L written on it."""
+
+    basis: tuple[SparseRow, ...]
+    table: LieAlgebra
+
+
+@lru_cache(maxsize=32)
+def lcs_adapted(L: LieAlgebra) -> Adapted:
+    """A basis of L adapted to its lower central series, and L's table on it.
 
     A pivot set only grows from a term to the next larger one, so the
     echelon vectors of L^k whose pivot is not a pivot of L^(k+1) complete
@@ -569,41 +565,21 @@ def lcs_basis(L: LieAlgebra) -> tuple[SparseRow, ...]:
     span L^k, with the dims of ``lower_central_series(L).lcs_dims``, and
     a vector of weight k, one of L^k outside L^(k+1), brackets with one
     of weight j into L^(k+j) (or into the last term, where a
-    non-nilpotent series stabilises).
+    non-nilpotent series stabilises): most structure constants of the
+    table are zero.
+
+    A basis of multiples of the e_c only reorders and rescales
+    e_1..e_n, which keeps the zero pattern of the structure constants,
+    so L is not transported: the table is L, or an equal copy of it on a
+    cache hit.  Every catalog table and direct sum is in that case.
+    ``build``, ``center`` and ``schur_multiplier_dim`` all ask for it, so
+    the last 32 results are cached.
 
     One case takes other generators: for L of class 2 with L^2 = span(z)
     and z not a multiple of a unit vector, as a base change of H(m)⊕A(k)
-    is, the e_c, c off z's pivot, are replaced by the Darboux basis of
-    ``_darboux``, and z comes last.  Any generators complete L^2, and on
-    these each [f_a, f_b] is 0 but for the m pairs [x_i, y_i] = w_i·z/z_p.
-    """
-    terms, _ = _series(L)
-    line = _central_line(terms)
-    if line is not None:
-        p, z = line
-        return (*_darboux(L, p)[0], tuple(sorted(z.items())))
-    derived = terms[0] if terms else {}
-    basis: list[SparseRow] = [((c, 1),) for c in range(L.dim) if c not in derived]
-    for term, below in zip(terms, [*terms[1:], {}]):
-        basis += [tuple(sorted(v.items())) for p, v in sorted(term.items()) if p not in below]
-    return tuple(basis)
-
-
-@lru_cache(maxsize=32)
-def lcs_adapted(L: LieAlgebra) -> LieAlgebra:
-    """L written on ``lcs_basis``, or L when each basis vector is a multiple of one e_c.
-
-    On the adapted basis [L^i, L^j] lies in L^(i+j), so most structure
-    constants are zero.  A basis of multiples of the e_c only reorders
-    and rescales e_1..e_n, which keeps the zero pattern of the structure
-    constants, so it is not transported; every catalog table and direct
-    sum is in that case.  ``build``, ``center`` and
-    ``schur_multiplier_dim`` all ask for it, so the last 32 results are
-    cached, and a hit may return an equal copy of L in place of L itself.
-
-    For a class-2 L with L^2 = span(z), z not a multiple of a unit
-    vector, the basis is ``_darboux``'s x_1, y_1, ..., x_m, y_m and
-    radical, then z, and the table is m brackets [x_i, y_i] =
+    is, the basis is ``_darboux``'s x_1, y_1, ..., x_m, y_m and radical
+    in place of the e_c, c off z's pivot p, then z.  Any generators
+    complete L^2, and the table is the m brackets [x_i, y_i] =
     w_i / (denom z_p) z: every stored bracket is the multiple
     ω(e_a, e_b) / z_p of z and the walk found each [z, e_c] to be 0, so
     every other pair is 0 by bilinearity, with no Jacobi identity.
@@ -623,16 +599,21 @@ def lcs_adapted(L: LieAlgebra) -> LieAlgebra:
     """
     terms, nilpotent = _series(L)
     n = L.dim
-    line = _central_line(terms)
-    if line is not None:
-        # the sign of z_p goes into the numerators: the denominator stays positive
-        p, z = line
-        sign = 1 if z[p] > 0 else -1
-        return _make(n, abs(z[p]) * L.denom, {(2 * i, 2 * i + 1): ((n - 1, sign * w),)
-                                              for i, w in enumerate(_darboux(L, p)[1])})
-    basis = lcs_basis(L)
+    if len(terms) == 2 and not terms[1] and len(terms[0]) == 1:
+        (p, z), = terms[0].items()
+        if len(z) > 1:
+            rows, weights = _darboux(L, p)
+            # the sign of z_p goes into the numerators: the denominator stays positive
+            sign = 1 if z[p] > 0 else -1
+            table = _make(n, abs(z[p]) * L.denom,
+                          {(2 * i, 2 * i + 1): ((n - 1, sign * w),) for i, w in enumerate(weights)})
+            return Adapted((*rows, tuple(sorted(z.items()))), table)
+    derived = terms[0] if terms else {}
+    basis: list[SparseRow] = [((c, 1),) for c in range(n) if c not in derived]
+    for term, below in zip(terms, [*terms[1:], {}]):
+        basis += [tuple(sorted(v.items())) for p, v in sorted(term.items()) if p not in below]
     if all(len(v) == 1 for v in basis):
-        return L
+        return Adapted(tuple(basis), L)
     g = n - len(terms[0])
     # basis[last:] spans the last nonzero term, whose [u, e_c] the walk found 0
     last = n - len(terms[-2]) if nilpotent else n
@@ -652,7 +633,7 @@ def lcs_adapted(L: LieAlgebra) -> LieAlgebra:
         out = {t: w.items() for t, w in _integer_brackets(ad, u).items()}
         for a in earlier:
             mapping[(a, b)] = _combine([(t, x) for t, x in basis[a] if t in out], out).items()
-    return _make(n, d * L.denom, mapping)
+    return Adapted(tuple(basis), _make(n, d * L.denom, mapping))
 
 
 def is_ideal(L: LieAlgebra, s: Subspace) -> bool:

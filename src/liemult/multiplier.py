@@ -123,7 +123,7 @@ class MultiplierReport(NamedTuple):
 def schur_multiplier_dim(L: LieAlgebra) -> MultiplierReport:
     """dim M(L) = C(n,2) - rank(d2) - rank(d3) on ``lcs_adapted(L)``, with t and s filled in."""
     n = L.dim
-    adapted = lcs_adapted(L)
+    adapted = lcs_adapted(L).table
     bad = first_jacobi_violation(adapted)
     if bad is not None:
         i, j, k = bad[0]

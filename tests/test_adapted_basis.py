@@ -37,7 +37,6 @@ from liemult.liealg import (
     change_of_basis,
     direct_sum,
     lcs_adapted,
-    lcs_basis,
     lower_central_series,
 )
 from liemult.linalg import Matrix
@@ -139,7 +138,7 @@ def _reference_terms(sympy, alg):
 
 
 def _weights(alg):
-    """The weight of each vector of ``lcs_basis(alg)``, read off ``lcs_dims``.
+    """The weight of each vector of ``lcs_adapted(alg).basis``, read off ``lcs_dims``.
 
     The last dim L^k vectors span L^k, so the a-th vector has weight
     #{k : a >= n - dim L^k}: the largest k with it in L^k.
@@ -154,10 +153,10 @@ def test_adapted_table_matches_sympy_ranks_and_flag(alg):
     sympy = pytest.importorskip("sympy")
     n = alg.dim
     weights = _weights(alg)
-    rows = [_dense(n, v) for v in lcs_basis(alg)]
+    basis, adapted = lcs_adapted(alg)
+    rows = [_dense(n, v) for v in basis]
     assert _qq_rank(sympy, rows, n) == n
 
-    adapted = lcs_adapted(alg)
     if adapted is not alg:
         # the integer transport is the Fraction base change onto the basis rows
         assert adapted.table == change_of_basis_table(alg, Matrix.from_rows(rows))
@@ -184,7 +183,7 @@ def test_perfect_algebra_series_stops_at_once():
     for alg in (NON_NILPOTENT["sl2"], NON_NILPOTENT["so3"]):
         rep = lower_central_series(alg)
         assert (rep.lcs_dims, rep.nilpotency_class, rep.derived_dim) == ((3,), None, 3)
-        assert lcs_basis(alg) == (((0, 1),), ((1, 1),), ((2, 1),))
+        assert lcs_adapted(alg).basis == (((0, 1),), ((1, 1),), ((2, 1),))
     rep = lower_central_series(NON_NILPOTENT["affine2"])
     assert (rep.lcs_dims, rep.nilpotency_class, rep.derived_dim) == ((2, 1), None, 1)
 
@@ -233,7 +232,7 @@ def test_non_nilpotent_series_and_flag_match_fraction_reference(alg):
     assert rep.nilpotency_class is None
 
     weights = _weights(alg)
-    rows = [_dense(n, v) for v in lcs_basis(alg)]
+    rows = [_dense(n, v) for v in lcs_adapted(alg).basis]
     assert len(reduced_rows(rows)) == n
     for a, b in combinations(range(n), 2):
         term = terms[min(weights[a] + weights[b], len(terms)) - 1]
@@ -438,7 +437,7 @@ def _count_block_inverses(monkeypatch):
 
 def test_catalog_tables_skip_the_transport(monkeypatch):
     # nor do they reach the Darboux reduction: H(m) and H(m)⊕A(k) in the
-    # catalog have L^2 = span(e_n), a unit vector, so lcs_basis keeps the e_c
+    # catalog have L^2 = span(e_n), a unit vector, so lcs_adapted keeps the e_c
     def forbidden(*args):
         raise AssertionError("reached the Darboux reduction")
 
@@ -448,11 +447,11 @@ def test_catalog_tables_skip_the_transport(monkeypatch):
     monkeypatch.setattr(liealg, "_darboux", forbidden)
     clear_caches()
     for alg in _catalog_tables():
-        assert lcs_adapted(alg) == alg
+        assert lcs_adapted(alg).table == alg
         schur_multiplier_dim.__wrapped__(alg)
     assert calls == []
     with pytest.raises(AssertionError, match="Darboux"):
-        lcs_basis(h2)
+        lcs_adapted(h2)
 
     # a base change that mixes the flag is transported, once, through the
     # inverse of the 4 x 4 block of L^2 = span(e3..e6)'s pivots
@@ -467,7 +466,7 @@ def test_classify_request_transports_a_dense_table_once(monkeypatch, tmp_path, c
     from liemult.lieconst import render
 
     moved = change_of_basis(_filiform(7), random_unimodular(7, Lcg(9), steps=84))
-    assert lcs_adapted(moved) is not moved
+    assert lcs_adapted(moved).table is not moved
     path = tmp_path / "moved.lie"
     path.write_text(render(moved))
     calls = _count_block_inverses(monkeypatch)
@@ -478,9 +477,9 @@ def test_classify_request_transports_a_dense_table_once(monkeypatch, tmp_path, c
 
 
 def _parent_formula(alg):
-    """``lcs_adapted`` as the general transport onto the rows of ``lcs_basis``, by their n x n inverse."""
+    """``lcs_adapted`` as the general transport onto the rows of its basis, by their n x n inverse."""
     n = alg.dim
-    basis = lcs_basis(alg)
+    basis = lcs_adapted(alg).basis
     if all(len(v) == 1 for v in basis):
         return alg
     rows = [[dict(v).get(c, 0) for c in range(n)] for v in basis]
@@ -499,6 +498,12 @@ def _h_plus_a_dim_m(m, k):
     return (2 if m == 1 else 2 * m * m - m - 1) + k * (k - 1) // 2 + 2 * m * k
 
 
+def _line_off_the_unit_vectors(alg):
+    """Whether the series of alg is L, L^2 = span(z), 0 with z not a multiple of a unit vector."""
+    terms = liealg._series(alg)[0]
+    return len(terms) == 2 and not terms[1] and len(terms[0]) == 1 and len(*terms[0].values()) > 1
+
+
 def _darboux_inputs():
     """(label, m, k, base change of H(m)⊕A(k)) whose L^2 is a line off the unit vectors.
 
@@ -515,7 +520,7 @@ def _darboux_inputs():
                       change_of_basis(base.algebra, random_unimodular(n, Lcg(seed), steps=12 * n))))
     for c in build_population(4, 3, 7):
         hit = re.fullmatch(r"cob\[HplusA\((\d),(\d)\),\d\]", c.case_id)
-        if hit and liealg._central_line(liealg._series(c.algebra)[0]) is not None:
+        if hit and _line_off_the_unit_vectors(c.algebra):
             cases.append((c.case_id, int(hit[1]), int(hit[2]), c.algebra))
     return cases
 
@@ -563,7 +568,7 @@ def test_adapted_table_equals_the_general_transport():
     for label, alg in _reference_inputs():
         lcs_adapted.cache_clear()
         expected = _parent_formula(alg)
-        assert lcs_adapted(alg) == expected, label
+        assert lcs_adapted(alg).table == expected, label
         moved += expected is not alg
         violating += liealg.first_jacobi_violation(alg) is not None
     assert moved > 400
@@ -578,7 +583,7 @@ def test_heisenberg_base_changes_get_one_bracket_per_darboux_pair():
     for label, m, k, alg in cases:
         n = alg.dim
         lcs_adapted.cache_clear()
-        adapted = lcs_adapted(alg)
+        adapted = lcs_adapted(alg).table
         assert [(i, j, [t for t, _ in coeffs]) for i, j, coeffs in adapted.brackets] == [
             (2 * i, 2 * i + 1, [n - 1]) for i in range(m)], label
         assert adapted == _parent_formula(alg), label
@@ -615,7 +620,7 @@ def test_darboux_reduction_on_random_alternating_forms():
         def omega(u, v):
             return sum(x * form[a][b] * y for a, x in u for b, y in v)
 
-        rows, weights = liealg._darboux.__wrapped__(_form_algebra(g, form), g)
+        rows, weights = liealg._darboux(_form_algebra(g, form), g)
         m = len(weights)
         rank = len(reduced_rows(form))
         ranks.add(rank)
@@ -644,7 +649,7 @@ def test_last_term_of_a_heisenberg_base_change_needs_no_bracket(monkeypatch):
     monkeypatch.setattr(liealg, "_integer_brackets", forbidden)
     monkeypatch.setattr(liealg, "_adjoint", forbidden)
     lcs_adapted.cache_clear()
-    adapted = lcs_adapted(alg)
+    adapted = lcs_adapted(alg).table
     assert adapted != alg
     monkeypatch.undo()
     assert adapted == _parent_formula(alg)
@@ -724,17 +729,47 @@ def test_series_of_a_heisenberg_base_change_forms_no_bracket(monkeypatch):
 
 
 def test_center_of_an_equal_copy_reads_its_own_basis():
-    # [e2,e3] = e1: lcs_basis is e2, e3, e1, a permutation, so the table
+    # [e2,e3] = e1: the adapted basis is e2, e3, e1, a permutation, so the table
     # is not transported; a second, equal object then gets the first one
     # back from lcs_adapted's cache, and its center must stay span(e1)
     lcs_adapted.cache_clear()
     first = build(3, [(2, 3, {1: 1})])
     second = build(3, [(2, 3, {1: 1})])
     assert first == second and first is not second
-    assert lcs_adapted(second) is first
-    assert lcs_basis(second) == (((1, 1),), ((2, 1),), ((0, 1),))
+    assert lcs_adapted(second).table is first
+    assert lcs_adapted(second).basis == (((1, 1),), ((2, 1),), ((0, 1),))
     center.cache_clear()
     assert center(second).rows == (((0, 1),),)
+
+
+def test_request_reduces_a_heisenberg_base_change_once(monkeypatch):
+    # build validates on the adapted table, and center and the multiplier
+    # read the basis and the table that the same cached call returned
+    moved = change_of_basis(heisenberg(3).algebra, random_unimodular(7, Lcg(1301), steps=84))
+    assert _line_off_the_unit_vectors(moved)
+    data = [(i + 1, j + 1, {m + 1: Fraction(a, moved.denom) for m, a in coeffs})
+            for i, j, coeffs in moved.brackets]
+    calls = []
+    darboux = liealg._darboux
+    monkeypatch.setattr(liealg, "_darboux", lambda L, p: calls.append(p) or darboux(L, p))
+    clear_caches()
+    alg = build(7, data)
+    assert alg == moved
+    assert center(alg).dim == 1
+    assert schur_multiplier_dim(alg).dim_m == _h_plus_a_dim_m(3, 0)
+    assert len(calls) == 1
+
+
+def test_table_is_the_algebra_exactly_on_a_basis_of_unit_multiples():
+    # center maps its kernel back through the basis unless every basis
+    # vector is a multiple of one e_c, which is when the table is L itself
+    kept = 0
+    for c in build_population(4, 3, 7):
+        clear_caches()
+        basis, table = lcs_adapted(c.algebra)
+        assert (table is c.algebra) == all(len(v) == 1 for v in basis), c.case_id
+        kept += table is c.algebra
+    assert 0 < kept < 570
 
 
 def _dense_base_changes():
@@ -762,7 +797,7 @@ def test_center_matches_the_kernel_on_the_original_table(alg):
 
 @pytest.mark.parametrize("alg", _dense_base_changes())
 def test_center_takes_the_kernel_on_the_adapted_table(monkeypatch, alg):
-    adapted = lcs_adapted(alg)
+    adapted = lcs_adapted(alg).table
     assert adapted != alg
     seen = []
     kernel = liealg._kernel

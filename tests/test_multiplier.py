@@ -194,7 +194,7 @@ def test_complex_is_exact_on_samples():
                 l4524_plus_a1().algebra]
     algebras += [random_change_of_basis(a, rng) for a in algebras]
     # the complex is ranked on the adapted tables, which the transport writes
-    algebras += [lcs_adapted(a) for a in algebras]
+    algebras += [lcs_adapted(a).table for a in algebras]
     for alg in algebras:
         d2, d3 = ce_d2(alg), ce_d3(alg)
         assert d2.cols == d3.rows
@@ -256,7 +256,7 @@ def test_complex_not_exact_flags_invalid_transported_table():
     # base change, and the guard runs on a table that lcs_adapted transports
     bad = from_fractions(3, {(0, 1): vector([0, 0, 1]), (0, 2): vector([1, 0, 0])})
     moved = change_of_basis(bad, random_unimodular(3, Lcg(23)))
-    assert lcs_adapted(moved) is not moved
+    assert lcs_adapted(moved).table is not moved
     with pytest.raises(ComplexNotExact):
         schur_multiplier_dim.__wrapped__(moved)
 
