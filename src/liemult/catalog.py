@@ -102,39 +102,30 @@ def l4524_plus_a1() -> CatalogEntry:
     return CatalogEntry(FAMILY_L4524_PLUS_A1, (), alg, 9, 2)
 
 
-# family identifier -> constructor, whose parameters are the family's
-_CONSTRUCTORS: dict[str, Callable[..., CatalogEntry]] = {
-    FAMILY_ABELIAN: abelian,
-    FAMILY_HEISENBERG: heisenberg,
-    FAMILY_L3414: l_3_4_1_4,
-    FAMILY_L4524: l_4_5_2_4,
-    FAMILY_H_PLUS_A: heisenberg_plus_abelian,
-    FAMILY_L4524_PLUS_A1: l4524_plus_a1,
+# family identifier -> (constructor, the dimension of its algebra), both
+# taking the family's parameters
+_FAMILIES: dict[str, tuple[Callable[..., CatalogEntry], Callable[..., int]]] = {
+    FAMILY_ABELIAN: (abelian, lambda k: k),
+    FAMILY_HEISENBERG: (heisenberg, lambda m: 2 * m + 1),
+    FAMILY_L3414: (l_3_4_1_4, lambda: 4),
+    FAMILY_L4524: (l_4_5_2_4, lambda: 5),
+    FAMILY_H_PLUS_A: (heisenberg_plus_abelian, lambda m, k: 2 * m + 1 + k),
+    FAMILY_L4524_PLUS_A1: (l4524_plus_a1, lambda: 6),
 }
 
-FAMILIES = tuple(_CONSTRUCTORS)
-
-# family identifier -> the dimension of its algebra, from the same parameters
-_DIMENSIONS: dict[str, Callable[..., int]] = {
-    FAMILY_ABELIAN: lambda k: k,
-    FAMILY_HEISENBERG: lambda m: 2 * m + 1,
-    FAMILY_L3414: lambda: 4,
-    FAMILY_L4524: lambda: 5,
-    FAMILY_H_PLUS_A: lambda m, k: 2 * m + 1 + k,
-    FAMILY_L4524_PLUS_A1: lambda: 6,
-}
+FAMILIES = tuple(_FAMILIES)
 
 
-def _constructor(family: str, params: tuple[int, ...]) -> Callable[..., CatalogEntry]:
-    """The family's constructor, once the family is known and takes len(params) parameters."""
-    make = _CONSTRUCTORS.get(family)
-    if make is None:
+def _family(family: str, params: tuple[int, ...]) -> tuple[Callable[..., CatalogEntry], Callable[..., int]]:
+    """The family's (constructor, dimension), once the family is known and takes len(params) parameters."""
+    pair = _FAMILIES.get(family)
+    if pair is None:
         raise ValueError(f"unknown catalog family {family!r}")
-    arity = make.__code__.co_argcount
+    arity = pair[0].__code__.co_argcount
     if len(params) != arity:
         noun = "parameter" if arity == 1 else "parameters"
         raise ValueError(f"{family} takes {arity} {noun}, got {len(params)}")
-    return make
+    return pair
 
 
 def dimension(family: str, params: tuple[int, ...] = ()) -> int:
@@ -142,13 +133,12 @@ def dimension(family: str, params: tuple[int, ...] = ()) -> int:
 
     Parameters the constructor refuses may give a negative number.
     """
-    _constructor(family, params)
-    return _DIMENSIONS[family](*params)
+    return _family(family, params)[1](*params)
 
 
 def entry(family: str, params: tuple[int, ...] = ()) -> CatalogEntry:
     """Dispatch a family identifier plus parameters to its constructor."""
-    return _constructor(family, params)(*params)
+    return _family(family, params)[0](*params)
 
 
 def standard_entries(max_m: int, max_k: int) -> list[CatalogEntry]:

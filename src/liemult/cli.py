@@ -143,33 +143,21 @@ _FILE_COMMANDS = {
 }
 
 
-def _cap(text: str) -> int:
-    """A verify cap: a non-negative integer; argparse exits 2 on anything else."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
-
-
-def _max_n(text: str) -> int:
-    """The classification cap: its s0-series starts at n = 3, so a smaller cap runs no case."""
-    value = _cap(text)
-    if value < 3:
-        raise argparse.ArgumentTypeError(f"must be at least 3, got {value}")
-    return value
-
-
-def _at_most(bound: int) -> Callable[[str], int]:
-    """A verify cap of at most ``bound``, so that every suite ends in about 10 s."""
-    def capped(text: str) -> int:
-        value = _cap(text)
-        if value > bound:
-            raise argparse.ArgumentTypeError(f"must be at most {bound}, got {value}")
+def _cap(low: int, high: int) -> Callable[[str], int]:
+    """A verify cap from ``low`` to ``high``; argparse exits 2 on anything else."""
+    def cap(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
-    return capped
+    return cap
 
 
 # quotient lists all 2^(K+1) central coordinate subsets of each H(m)+A(K)
@@ -179,6 +167,11 @@ MAX_K = 12
 # classification grows about as M^3.3 at the default K: M = 32 gives 2,505
 # cases in about 9 s, and M = 36 took 14.5 s
 MAX_M = 32
+
+# classification's s0-series runs H(1)+A(n-3) for every n from 3 to N, about
+# as N^2: N = 1,600 took 8 s on a 2-vCPU Xeon, and N = 3,200 took 29 s; the
+# series starts at n = 3, so a smaller cap would run none of its cases
+MAX_N = 1600
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,9 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog="flags each suite reads (it accepts and ignores the others):\n"
                               + flags)
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
-    p.add_argument("--max-m", type=_at_most(MAX_M), default=verify.DEFAULT_MAX_M)
-    p.add_argument("--max-k", type=_at_most(MAX_K), default=verify.DEFAULT_MAX_K)
-    p.add_argument("--max-n", type=_max_n, default=verify.DEFAULT_MAX_N)
+    p.add_argument("--max-m", type=_cap(0, MAX_M), default=verify.DEFAULT_MAX_M)
+    p.add_argument("--max-k", type=_cap(0, MAX_K), default=verify.DEFAULT_MAX_K)
+    p.add_argument("--max-n", type=_cap(3, MAX_N), default=verify.DEFAULT_MAX_N)
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.set_defaults(func=_cmd_verify)
 

@@ -15,15 +15,18 @@ that validates its input: it keeps an int as it is, makes a Fraction of
 no other, and rescales numerators only when some denominator is above
 1, where their gcd with the lcm of the denominators is 1 already.
 ``first_jacobi_violation`` is the one
-Jacobi test: ``build``, the one constructor fed outside input, runs it
-on ``lcs_adapted(L)``, as the identity holds on every basis or on none,
-and scans the original table only to name the first failing triple of an
-invalid one.  Algebras derived from valid ones (sums, quotients by
-ideals, base changes) are valid by construction, and the multiplier
-re-checks only ``lcs_adapted(L)``.  ``center`` takes its kernel there
-too and maps it back through the adapted basis.  ``lcs_adapted`` returns
-that basis with the table and keeps the last 32 pairs, so a request
-works both out once.
+Jacobi test.  ``lcs_adapted(L)`` is the one cached record of an
+algebra's structure: its adapted basis, L written on it, the lower
+central series, and the verdict of the Jacobi test on that table, each
+computed once when the record is made, and the last 32 records kept.
+``build``, the one constructor fed outside input, reads that verdict,
+as the identity holds on every basis or on none, and scans the original
+table only to name the first failing triple of an invalid one.
+Algebras derived from valid ones (sums, quotients by ideals, base
+changes) are valid by construction, and the multiplier reads the same
+verdict before it ranks the adapted table.  ``center`` takes its kernel
+there too and maps it back through the adapted basis, and
+``lower_central_series`` reads the series off the record.
 
 The Jacobi check, the center, the lower central series, the ideal test
 and the boundary maps of :mod:`liemult.multiplier` all read the stored
@@ -46,11 +49,11 @@ is ω(e_a, e_b)/z_p · z for the integer form ω read at z's pivot p, so
 [z, e_t] = ω(z, e_t)/z_p · z by bilinearity: one pass over the stored
 brackets decides whether [z, C] = 0, and when it is, with some bracket
 between generators, the series is L, L^2, 0, with no bracket formed.
-The series is walked once per algebra, by the
-cached ``_series``, whose echelons give both the dimensions, dim L^2 among
-them, that the uncached ``lower_central_series`` reports, and the
-basis of ``lcs_adapted``, adapted to the flag L ⊃ L^2 ⊃ ... so that
-[L^i, L^j] ⊆ L^(i+j); ``lcs_adapted`` returns it with L written on it,
+The series is walked once per record, by
+``_series``, whose echelons give both the dimensions, dim L^2 among
+them, that ``lower_central_series`` reports, and the basis of
+``lcs_adapted``, adapted to the flag L ⊃ L^2 ⊃ ... so that
+[L^i, L^j] ⊆ L^(i+j); ``_adapted_table`` writes L on it,
 and :mod:`liemult.multiplier` ranks the complex there.  Its generators
 are the unit vectors e_c off L^2's pivots, except for a class-2 L whose
 L^2 is a line span(z) off the unit vectors, as a base change of
@@ -63,7 +66,7 @@ only the stored brackets are projected.  A base change transports only
 the stored brackets, in integers, and multiplies them by the inverse
 read from the reduced echelon of [Q | I], or, for the seeded base
 changes of :mod:`liemult.randgen`, built exactly by their generator.
-``lcs_adapted`` needs no such transport: L^2 holds every bracket, so it
+``_adapted_table`` needs no such transport: L^2 holds every bracket, so it
 inverts only the k x k block of L^2's pivots in its basis, k = dim L^2.
 Nor does it bracket the last nonzero term with the generators e_c: the
 walk's last layer, or last term, formed those brackets and found them 0,
@@ -279,7 +282,7 @@ def build(
     alg = LieAlgebra(dim, denom, stored)
     # the Jacobi identity holds on every basis or on none, and the adapted
     # table, which the multiplier ranks on too, has far fewer constants
-    if first_jacobi_violation(lcs_adapted(alg).table) is None:
+    if lcs_adapted(alg).violation is None:
         return alg
     bad = first_jacobi_violation(alg)
     if bad is None:
@@ -349,16 +352,16 @@ def center(L: LieAlgebra) -> Subspace:
     n = L.dim
     if L.is_abelian:
         return Subspace.full(n)
-    basis, adapted = lcs_adapted(L)
+    rec = lcs_adapted(L)
     rows: dict[tuple[int, int], dict[int, int]] = {}
-    for i, j, coeffs in adapted.brackets:
+    for i, j, coeffs in rec.table.brackets:
         for t, x in coeffs:
             rows.setdefault((j, t), {})[i] = x
             rows.setdefault((i, t), {})[j] = -x
     kernel = _kernel(n, rows.values())
-    if all(len(v) == 1 for v in basis):
+    if all(len(v) == 1 for v in rec.basis):
         return kernel
-    return _span(n, (_combine(z, basis) for z in kernel.rows))
+    return _span(n, (_combine(z, rec.basis) for z in kernel.rows))
 
 
 class SeriesReport(NamedTuple):
@@ -403,7 +406,6 @@ def _omega(brackets: Brackets) -> Iterator[tuple[int, int, int]]:
     return ((a, b, coeffs[0][1]) for a, b, coeffs in brackets)
 
 
-@lru_cache(maxsize=1024)
 def _series(L: LieAlgebra) -> tuple[tuple[dict[int, dict[int, int]], ...], bool]:
     """Echelons of the distinct terms L^2, L^3, ..., and whether the series reached 0.
 
@@ -489,15 +491,11 @@ def _series(L: LieAlgebra) -> tuple[tuple[dict[int, dict[int, int]], ...], bool]
 def lower_central_series(L: LieAlgebra) -> SeriesReport:
     """Dims of L >= [L,L] >= [L,[L,L]] >= ... until zero or stabilization.
 
-    Not cached: the dims are the sizes of the echelons of ``_series``;
-    a perfect algebra (L^2 = L) stabilises at once and has derived dim n.
+    Read off ``lcs_adapted(L).series``, the sizes of the echelons of
+    ``_series``; a perfect algebra (L^2 = L) stabilises at once and has
+    derived dim n.
     """
-    terms, nilpotent = _series(L)
-    return SeriesReport(
-        (L.dim, *(len(t) for t in terms)),
-        len(terms) if nilpotent else None,
-        len(terms[0]) if terms else L.dim,
-    )
+    return lcs_adapted(L).series
 
 
 def _darboux(L: LieAlgebra, p: int) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
@@ -547,15 +545,38 @@ def _darboux(L: LieAlgebra, p: int) -> tuple[tuple[SparseRow, ...], tuple[int, .
 
 
 class Adapted(NamedTuple):
-    """A basis of L adapted to its lower central series, and L written on it."""
+    """The record of L: an lcs-adapted basis, L written on it, the series and the table's Jacobi verdict."""
 
     basis: tuple[SparseRow, ...]
     table: LieAlgebra
+    series: SeriesReport
+    violation: Optional[tuple[tuple[int, int, int], Vector]]  # first_jacobi_violation(table)
 
 
 @lru_cache(maxsize=32)
 def lcs_adapted(L: LieAlgebra) -> Adapted:
-    """A basis of L adapted to its lower central series, and L's table on it.
+    """The one record of L's structure, each part computed once, when it is made.
+
+    ``_series`` walks the series; its echelons give the dims that
+    ``lower_central_series`` reports and the basis on which
+    ``_adapted_table`` writes L; and ``first_jacobi_violation`` checks
+    that table, whose verdict ``build`` reads for outside input and
+    ``schur_multiplier_dim`` before it ranks the complex there.
+    ``build``, ``center``, ``lower_central_series`` and
+    ``schur_multiplier_dim`` all ask for it, so the last 32 records are
+    cached.
+    """
+    terms, nilpotent = _series(L)
+    basis, table = _adapted_table(L, terms, nilpotent)
+    series = SeriesReport((L.dim, *(len(t) for t in terms)),
+                          len(terms) if nilpotent else None,
+                          len(terms[0]) if terms else L.dim)
+    return Adapted(basis, table, series, first_jacobi_violation(table))
+
+
+def _adapted_table(L: LieAlgebra, terms: Sequence[dict[int, dict[int, int]]],
+                   nilpotent: bool) -> tuple[tuple[SparseRow, ...], LieAlgebra]:
+    """A basis of L adapted to its lower central series, and L's table on it, from ``_series(L)``.
 
     A pivot set only grows from a term to the next larger one, so the
     echelon vectors of L^k whose pivot is not a pivot of L^(k+1) complete
@@ -571,9 +592,8 @@ def lcs_adapted(L: LieAlgebra) -> Adapted:
     A basis of multiples of the e_c only reorders and rescales
     e_1..e_n, which keeps the zero pattern of the structure constants,
     so L is not transported: the table is L, or an equal copy of it on a
-    cache hit.  Every catalog table and direct sum is in that case.
-    ``build``, ``center`` and ``schur_multiplier_dim`` all ask for it, so
-    the last 32 results are cached.
+    cache hit of ``lcs_adapted``.  Every catalog table and direct sum is
+    in that case.
 
     One case takes other generators: for L of class 2 with L^2 = span(z)
     and z not a multiple of a unit vector, as a base change of H(m)⊕A(k)
@@ -594,10 +614,9 @@ def lcs_adapted(L: LieAlgebra) -> Adapted:
     So these u are bracketed only with the earlier u; some u always needs
     a bracket here, since a class-2 L with dim L^2 = 1 took one of the
     two paths above.  No pair is dropped for its weights: [f_a, f_b] lies in L^(w_a + w_b)
-    only by the Jacobi identity, and ``build`` validates outside input on
-    this table.
+    only by the Jacobi identity, which ``lcs_adapted`` checks on this
+    table.
     """
-    terms, nilpotent = _series(L)
     n = L.dim
     if len(terms) == 2 and not terms[1] and len(terms[0]) == 1:
         (p, z), = terms[0].items()
@@ -607,13 +626,13 @@ def lcs_adapted(L: LieAlgebra) -> Adapted:
             sign = 1 if z[p] > 0 else -1
             table = _make(n, abs(z[p]) * L.denom,
                           {(2 * i, 2 * i + 1): ((n - 1, sign * w),) for i, w in enumerate(weights)})
-            return Adapted((*rows, tuple(sorted(z.items()))), table)
+            return (*rows, tuple(sorted(z.items()))), table
     derived = terms[0] if terms else {}
     basis: list[SparseRow] = [((c, 1),) for c in range(n) if c not in derived]
     for term, below in zip(terms, [*terms[1:], {}]):
         basis += [tuple(sorted(v.items())) for p, v in sorted(term.items()) if p not in below]
     if all(len(v) == 1 for v in basis):
-        return Adapted(tuple(basis), L)
+        return tuple(basis), L
     g = n - len(terms[0])
     # basis[last:] spans the last nonzero term, whose [u, e_c] the walk found 0
     last = n - len(terms[-2]) if nilpotent else n
@@ -633,7 +652,7 @@ def lcs_adapted(L: LieAlgebra) -> Adapted:
         out = {t: w.items() for t, w in _integer_brackets(ad, u).items()}
         for a in earlier:
             mapping[(a, b)] = _combine([(t, x) for t, x in basis[a] if t in out], out).items()
-    return Adapted(tuple(basis), _make(n, d * L.denom, mapping))
+    return tuple(basis), _make(n, d * L.denom, mapping)
 
 
 def is_ideal(L: LieAlgebra, s: Subspace) -> bool:

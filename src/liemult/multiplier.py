@@ -12,8 +12,9 @@ invariants, so the complex is built on the algebra rewritten on a basis
 adapted to its lower central series (``liealg.lcs_adapted``), where
 [L^i, L^j] ⊆ L^(i+j) leaves most structure constants zero and d3 far
 sparser than on a dense table.  Column (i,j,k) of d2 . d3 is exactly
-the Jacobi defect of (e_i, e_j, e_k), so ``first_jacobi_violation``
-guards the complex on the adapted table it is built on.
+the Jacobi defect of (e_i, e_j, e_k), so the verdict of
+``first_jacobi_violation`` on the adapted table, which ``lcs_adapted``
+keeps with the table, guards the complex built on it.
 
 Also provided as executable checks with witnesses: additivity of the
 multiplier over direct sums (with the abelianization tensor term), the
@@ -32,7 +33,6 @@ from .liealg import (
     NotNilpotent,
     center,
     direct_sum,
-    first_jacobi_violation,
     lcs_adapted,
     lower_central_series,
     quotient,
@@ -121,16 +121,19 @@ class MultiplierReport(NamedTuple):
 
 @lru_cache(maxsize=1024)
 def schur_multiplier_dim(L: LieAlgebra) -> MultiplierReport:
-    """dim M(L) = C(n,2) - rank(d2) - rank(d3) on ``lcs_adapted(L)``, with t and s filled in."""
+    """dim M(L) = C(n,2) - rank(d2) - rank(d3) on ``lcs_adapted(L).table``, with t and s filled in.
+
+    Raises ComplexNotExact when the record's Jacobi verdict on that
+    table is a defect: d2 . d3 would be nonzero.
+    """
     n = L.dim
-    adapted = lcs_adapted(L).table
-    bad = first_jacobi_violation(adapted)
-    if bad is not None:
-        i, j, k = bad[0]
+    rec = lcs_adapted(L)
+    if rec.violation is not None:
+        i, j, k = rec.violation[0]
         raise ComplexNotExact(f"d2 . d3 is nonzero: Jacobi defect at (e{i + 1},e{j + 1},e{k + 1})"
                               " on the lcs-adapted basis")
-    d2 = ce_d2(adapted)
-    d3 = ce_d3(adapted)
+    d2 = ce_d2(rec.table)
+    d3 = ce_d3(rec.table)
     r2 = rank(d2)
     r3 = rank(d3)
     lam2 = n * (n - 1) // 2

@@ -153,7 +153,8 @@ def test_adapted_table_matches_sympy_ranks_and_flag(alg):
     sympy = pytest.importorskip("sympy")
     n = alg.dim
     weights = _weights(alg)
-    basis, adapted = lcs_adapted(alg)
+    rec = lcs_adapted(alg)
+    basis, adapted = rec.basis, rec.table
     rows = [_dense(n, v) for v in basis]
     assert _qq_rank(sympy, rows, n) == n
 
@@ -268,7 +269,6 @@ def _layer_walk(monkeypatch, alg):
 
     monkeypatch.setattr(liealg, "_integer_brackets", recorded_brackets)
     monkeypatch.setattr(liealg, "_echelon", recorded_echelon)
-    liealg._series.cache_clear()
     liealg._series(alg)
     monkeypatch.setattr(liealg, "_integer_brackets", brackets)
     monkeypatch.setattr(liealg, "_echelon", echelon)
@@ -335,7 +335,6 @@ def _echelon_inputs(monkeypatch, alg):
         return echelon(vectors, base, limit)
 
     monkeypatch.setattr(liealg, "_echelon", recorded)
-    liealg._series.cache_clear()
     liealg._series(alg)
     monkeypatch.setattr(liealg, "_echelon", echelon)
     return seen
@@ -641,15 +640,14 @@ def test_last_term_of_a_heisenberg_base_change_needs_no_bracket(monkeypatch):
     # [u, e_c] zero, and the generators are a Darboux basis, so the
     # table is written from the form ω without forming a bracket
     alg = change_of_basis(heisenberg(5).algebra, random_unimodular(11, Lcg(1), steps=132))
-    liealg._series(alg)
+    terms, nilpotent = liealg._series(alg)
 
     def forbidden(*args):
-        raise AssertionError("lcs_adapted formed a bracket")
+        raise AssertionError("_adapted_table formed a bracket")
 
     monkeypatch.setattr(liealg, "_integer_brackets", forbidden)
     monkeypatch.setattr(liealg, "_adjoint", forbidden)
-    lcs_adapted.cache_clear()
-    adapted = lcs_adapted(alg).table
+    adapted = liealg._adapted_table(alg, terms, nilpotent)[1]
     assert adapted != alg
     monkeypatch.undo()
     assert adapted == _parent_formula(alg)
@@ -663,9 +661,7 @@ def _walk_alone(monkeypatch, alg):
     """
     with monkeypatch.context() as patch:
         patch.setattr(liealg, "_omega", lambda brackets: iter(()))
-        liealg._series.cache_clear()
         out = liealg._series(alg)
-    liealg._series.cache_clear()
     return out
 
 
@@ -699,7 +695,6 @@ def test_line_case_of_the_series_equals_the_walk(monkeypatch):
         adjoint = liealg._adjoint
         with monkeypatch.context() as patch:
             patch.setattr(liealg, "_adjoint", lambda n, brackets: seen.append(n) or adjoint(n, brackets))
-            liealg._series.cache_clear()
             got = liealg._series(alg)
         walked = _walk_alone(monkeypatch, alg)
         assert got == walked and repr(got) == repr(walked), label
@@ -760,13 +755,37 @@ def test_request_reduces_a_heisenberg_base_change_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_request_checks_the_jacobi_identity_once(monkeypatch, tmp_path, capsys):
+    # parse validates on the adapted table, and the multiplier reads the
+    # verdict that lcs_adapted keeps with that table instead of checking again
+    from liemult.cli import main
+    from liemult.lieconst import render
+
+    moved = change_of_basis(heisenberg(3).algebra, random_unimodular(7, Lcg(1301), steps=84))
+    path = tmp_path / "moved.lie"
+    path.write_text(render(moved))
+    calls = []
+    check = liealg.first_jacobi_violation
+    # every module binding of the check counts, whichever calls it
+    for module in (liealg, multiplier):
+        if vars(module).get("first_jacobi_violation") is check:
+            monkeypatch.setattr(module, "first_jacobi_violation", lambda L: calls.append(L) or check(L))
+    for command in ("multiplier", "classify"):
+        del calls[:]
+        clear_caches()
+        assert main([command, str(path)]) == 0, command
+        assert "s=2" in capsys.readouterr().out, command
+        assert len(calls) == 1, command
+
+
 def test_table_is_the_algebra_exactly_on_a_basis_of_unit_multiples():
     # center maps its kernel back through the basis unless every basis
     # vector is a multiple of one e_c, which is when the table is L itself
     kept = 0
     for c in build_population(4, 3, 7):
         clear_caches()
-        basis, table = lcs_adapted(c.algebra)
+        rec = lcs_adapted(c.algebra)
+        basis, table = rec.basis, rec.table
         assert (table is c.algebra) == all(len(v) == 1 for v in basis), c.case_id
         kept += table is c.algebra
     assert 0 < kept < 570

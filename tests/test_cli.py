@@ -286,6 +286,20 @@ def test_verify_refuses_max_m_above_its_bound(capsys):
     assert "error: argument --max-m: must be at most 32, got 33" in captured.err
 
 
+def test_verify_refuses_max_n_above_its_bound(capsys):
+    # the s0-series classifies H(1)+A(n-3) for every n up to N, about as
+    # N^2, so --max-n 100000 would run for hours
+    assert cli.build_parser().parse_args(
+        ["verify", "--suite", "classification", "--max-n", str(cli.MAX_N)]).max_n == cli.MAX_N == 1600
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "classification", "--max-n", str(cli.MAX_N + 1)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert "error: argument --max-n: must be at most 1600, got 1601" in captured.err
+
+
 def test_verify_cap_must_be_an_integer(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "formulas", "--max-m", "two"])

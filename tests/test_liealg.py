@@ -762,7 +762,7 @@ def test_structure_of_abelian_4000_stays_linear_in_memory():
 
     n = 4000
     alg = abelian(n).algebra
-    for fn in (center.__wrapped__, liealg._series.__wrapped__):
+    for fn in (center.__wrapped__, liealg._series):
         tracemalloc.start()
         try:
             fn(alg)

@@ -79,7 +79,7 @@ def test_literal_arities_and_suite_flags_match_the_signatures():
     # the runtime writes these down instead of reading them with inspect
     from liemult import catalog, verify
 
-    for family, make in catalog._CONSTRUCTORS.items():
+    for family, (make, _) in catalog._FAMILIES.items():
         arity = len(signature(make).parameters)
         assert catalog.entry(family, (1,) * arity) == make(*(1,) * arity)
         with pytest.raises(ValueError, match=rf"^{family} takes {arity} parameters?, got {arity + 1}$"):
