@@ -37,7 +37,17 @@ of the adapted table, built as sparse integer rows and mapped back
 through the adapted basis; each term of the lower central series, and
 the test [L, S] ⊆ S, is echeloned by the exact fraction-free kernel of
 :mod:`liemult.linalg` that also computes ``linalg.rank``; L^2 is the
-echelon of the stored bracket vectors themselves.  Past L^2 the walk
+echelon of the stored bracket vectors themselves, which
+``_derived_echelon`` builds without eliminating the brackets it shows to
+lie in the span already.  They would reduce to 0 and store nothing, so
+the echelon is the same dict.  When every bracket is an integer multiple
+of the first one's primitive vector, that vector is the echelon.
+Otherwise, once a bracket has reduced to 0 after more than one
+cancellation, each later v is tested against the reduced rows R_p of
+the echelon, zero at each other's pivots: the only combination of them
+that agrees with v at every pivot p is sum v[p]/R_p[p] · R_p, so v lies
+in the span iff it also agrees at every index off the pivots, an
+integer test after scaling by the lcm of the R_p[p].  Past L^2 the walk
 brackets only the newest layer with C, the e_c off L^2's pivots, as a
 nilpotent algebra is generated by any complement of L^2: S_2 = [C, C]
 and S_(j+1) = [S_j, C], so each layer vector meets C once, and the terms
@@ -89,6 +99,7 @@ from .linalg import (
     Subspace,
     Vector,
     _back_substitute,
+    _cancel,
     _combine,
     _dense,
     _echelon,
@@ -406,11 +417,96 @@ def _omega(brackets: Brackets) -> Iterator[tuple[int, int, int]]:
     return ((a, b, coeffs[0][1]) for a, b, coeffs in brackets)
 
 
+def _derived_echelon(brackets: Brackets) -> dict[int, dict[int, int]]:
+    """``_echelon`` of the stored bracket vectors, without eliminating those shown to lie in its span.
+
+    The same dict, pivots, vectors and order: a bracket in the span of
+    the echelon so far reduces to 0 there and stores nothing, so only
+    the brackets that are stored need eliminating.  Two exact tests find
+    the others:
+
+    - When every bracket is an integer multiple t·u of u, the first
+      bracket with its content divided out, L^2 is the line span(u) and
+      the echelon is u, as ``_echelon`` stores it: its sort by size
+      keeps the first of equal sizes first.  A rational multiple of the
+      primitive u is an integer vector only for an integer t, so one
+      division by u's first entry finds t.
+    - Otherwise the brackets are eliminated in ``_echelon``'s order, and
+      once one has needed more than one cancellation to reduce to 0,
+      each later v is tested against the echelon's reduced rows R_p,
+      each zero at the other pivots: v lies in their span iff
+      v = sum over p of v[p]/R_p[p] · R_p, as that is the only
+      combination that agrees with v at every pivot, so iff
+      d·v[c] = sum over p of v[p]·(d/R_p[p])·R_p[c] at every index c
+      off the pivots, d the lcm of the R_p[p].  A v that passes is
+      skipped; one that fails is eliminated and stored, and the rows
+      are reduced again before the next test.  A bracket that reduced
+      to 0 in one cancellation is a multiple of one stored vector;
+      starting the tests after such a bracket made the echelons of the
+      small population tables slower, not faster.
+    """
+    if not brackets:
+        return {}
+    first = brackets[0][2]
+    g = gcd(*(x for _, x in first))
+    line = [(m, x // g) for m, x in first]
+    p, f = line[0]
+    for _, _, coeffs in brackets:
+        if coeffs != first:
+            # a multiple of the primitive line with integer entries is an integer multiple
+            t = coeffs[0][1] // f
+            if coeffs[0][0] != p or len(coeffs) != len(line) or not all(
+                    m == k and x == t * y for (m, x), (k, y) in zip(coeffs, line)):
+                break
+    else:
+        return {p: dict(line)}
+    echelon: dict[int, dict[int, int]] = {}
+    testing = False
+    rows: Optional[dict[int, list[tuple[int, int]]]] = None
+    for coeffs in sorted((coeffs for _, _, coeffs in brackets), key=len):
+        if testing:
+            if rows is None:
+                reduced = _back_substitute(echelon)
+                d = lcm(*(v[p] for p, v in reduced.items()))
+                rows = {p: [(c, x * (d // v[p])) for c, x in v.items() if c not in reduced]
+                        for p, v in reduced.items()}
+            # d·v minus sum over p of v[p]·(d/R_p[p])·R_p, off the pivots
+            acc = {m: d * x for m, x in coeffs if m not in rows}
+            for m, x in coeffs:
+                row = rows.get(m)
+                if row is not None:
+                    for c, y in row:
+                        acc[c] = acc.get(c, 0) - x * y
+            if not any(acc.values()):
+                continue
+            rows = None
+        v = dict(coeffs)
+        cancelled = 0
+        while v:
+            p = min(v)
+            piv = echelon.get(p)
+            if piv is None:
+                g = gcd(*v.values())
+                echelon[p] = {c: x // g for c, x in v.items()} if g != 1 else v
+                break
+            v = _cancel(v, piv, p)
+            cancelled += 1
+        else:
+            testing = cancelled > 1
+    return echelon
+
+
 def _series(L: LieAlgebra) -> tuple[tuple[dict[int, dict[int, int]], ...], bool]:
     """Echelons of the distinct terms L^2, L^3, ..., and whether the series reached 0.
 
-    L^2 is the echelon of the stored bracket vectors, each bracket once;
-    it is 0 only for an abelian L, whose series is L, 0.  Otherwise the
+    L^2 is the echelon of the stored bracket vectors, each bracket once,
+    from ``_derived_echelon``: it skips a bracket whose exact membership
+    test against the reduced rows R_p of the echelon so far passes, that
+    is, when v = sum over p of v[p]/R_p[p] · R_p also off the pivots, or
+    when every bracket is a multiple of the first; a skipped bracket
+    would reduce to 0 and store nothing, so the echelon is the one
+    ``_echelon`` returns.  It is 0 only for an abelian L, whose series
+    is L, 0.  Otherwise the
     walk brackets only with C, the e_c whose index c is not a pivot of
     L^2, one layer at a time: S_2 = [C, C] is the echelon of the stored
     brackets between generators (L^2 itself when every stored bracket is
@@ -449,7 +545,7 @@ def _series(L: LieAlgebra) -> tuple[tuple[dict[int, dict[int, int]], ...], bool]
     the size of the previous one: the series has stabilised above zero,
     and that repeated term is left out.
     """
-    derived = _echelon(coeffs for _, _, coeffs in L.brackets)
+    derived = _derived_echelon(L.brackets)
     if not derived:
         return ((derived,) if L.dim else ()), True
     if len(derived) == 1:
@@ -510,36 +606,53 @@ def _darboux(L: LieAlgebra, p: int) -> tuple[tuple[SparseRow, ...], tuple[int, .
     and keeps the span; a pending x with no such y is in the radical.
     So ω(x_i, y_i) = w_i, ω is 0 on every other pair of basis vectors,
     and the rows are primitive integer vectors.
+
+    ω is read from its Gram matrix on the pending vectors, not from
+    covectors.  With a = ω(y, r), b = ω(x, r), r' = (f·r + a·x - b·y)/g
+    for f = w when r moves and r' = r (f = g = 1, a = b = 0) otherwise,
+    expanding ω(r', s') and using ω(x, y) = w gives
+    ω(r', s') = (f_r f_s ω(r, s) + w (a_r b_s - a_s b_r)) / (g_r g_s),
+    an exact integer division, since g_r g_s ω(r', s') is the numerator.
     """
     form: dict[int, dict[int, int]] = {c: {} for c in range(L.dim) if c != p}
     for a, b, x in _omega(L.brackets):
         if a != p and b != p:
             form[a][b], form[b][a] = x, -x
-    omega = {a: row.items() for a, row in form.items()}
-    pending = [{c: 1} for c in form]
+    # form[r][s] = ω(r, s) on the pending vectors, each named by the e_c it started as
+    rows = {c: {c: 1} for c in form}
+    pending = list(form)
     basis: list[dict[int, int]] = []
     radical: list[dict[int, int]] = []
     weights = []
     while pending:
         x = pending.pop(0)
-        fx = _combine(x.items(), omega)  # ω(x, e_c) at c
-        for j, y in enumerate(pending):
-            w = sum([fx.get(c, 0) * t for c, t in y.items()])
-            if w:
-                break
-        else:
-            radical.append(x)
+        wx = form[x]
+        y = next((y for y in pending if wx.get(y)), None)
+        if y is None:
+            radical.append(rows[x])
             continue
-        del pending[j]
-        fy = _combine(y.items(), omega)
-        for t, r in enumerate(pending):
-            a = sum([fy.get(c, 0) * u for c, u in r.items()])
-            b = sum([fx.get(c, 0) * u for c, u in r.items()])
+        pending.remove(y)
+        w, wy = wx[y], form[y]
+        # r becomes (w·r + a·x - b·y)/g for a = ω(y, r), b = ω(x, r): moved[r] = (w, a, b, g)
+        moved = {}
+        for r in pending:
+            a, b = wy.get(r, 0), wx.get(r, 0)
             if a or b:
-                v = _combine([(0, w), (1, a), (2, -b)], (r.items(), x.items(), y.items()))
+                v = _combine([(0, w), (1, a), (2, -b)],
+                             (rows[r].items(), rows[x].items(), rows[y].items()))
                 g = gcd(*v.values())
-                pending[t] = {c: u // g for c, u in v.items()}
-        basis += [x, y]
+                rows[r] = {c: u // g for c, u in v.items()}
+                moved[r] = (w, a, b, g)
+        # ω(r', s') = (f_r f_s ω(r, s) + w (a_r b_s - a_s b_r)) / (g_r g_s), f = g = 1 unmoved
+        for i, r in enumerate(pending):
+            fr, ar, br, gr = moved.get(r, (1, 0, 0, 1))
+            wr = form[r]
+            for s in pending[i + 1:]:
+                if r in moved or s in moved:
+                    fs, as_, bs, gs = moved.get(s, (1, 0, 0, 1))
+                    o = (fr * fs * wr.get(s, 0) + w * (ar * bs - as_ * br)) // (gr * gs)
+                    wr[s], form[s][r] = o, -o
+        basis += [rows[x], rows[y]]
         weights.append(w)
     return tuple(tuple(sorted(v.items())) for v in basis + radical), tuple(weights)
 

@@ -18,8 +18,12 @@ transport, on Jacobi-violating tables too.  A class-2 algebra whose L^2
 is a line off the unit vectors takes a Darboux basis as generators: the
 pairs and the radical are checked on seeded alternating forms, base
 changes of H(m)⊕A(k) get one bracket per pair, and catalog tables never
-reach the reduction.  A series whose L^2 is a line is decided from ω
-alone, with no bracket formed, and equals what the walk returns.
+reach the reduction, whose Gram matrix of ω gives the rows of the
+reduction that reads ω off covectors.  A series whose L^2 is a line is
+decided from ω alone, with no bracket formed, and equals what the walk
+returns.  L^2's echelon, which skips the brackets its span already
+holds, is the kernel's echelon of every stored bracket, and the series
+of dense base changes makes few cancellations.
 """
 
 import re
@@ -635,6 +639,50 @@ def test_darboux_reduction_on_random_alternating_forms():
     assert ranks == {0, 2, 4, 6, 8}
 
 
+def _covector_darboux(L, p):
+    """``liealg._darboux`` as it read each ω(u, v) before its Gram matrix: covector ω(u, ·) dotted with v."""
+    form = {c: {} for c in range(L.dim) if c != p}
+    for a, b, coeffs in L.brackets:
+        if a != p and b != p:
+            form[a][b], form[b][a] = coeffs[0][1], -coeffs[0][1]
+    omega = {a: row.items() for a, row in form.items()}
+    pending = [{c: 1} for c in form]
+    basis, radical, weights = [], [], []
+    while pending:
+        x = pending.pop(0)
+        fx = linalg._combine(x.items(), omega)
+        for j, y in enumerate(pending):
+            w = sum(fx.get(c, 0) * t for c, t in y.items())
+            if w:
+                break
+        else:
+            radical.append(x)
+            continue
+        del pending[j]
+        fy = linalg._combine(y.items(), omega)
+        for t, r in enumerate(pending):
+            a = sum(fy.get(c, 0) * u for c, u in r.items())
+            b = sum(fx.get(c, 0) * u for c, u in r.items())
+            if a or b:
+                v = linalg._combine([(0, w), (1, a), (2, -b)], (r.items(), x.items(), y.items()))
+                g = gcd(*v.values())
+                pending[t] = {c: u // g for c, u in v.items()}
+        basis += [x, y]
+        weights.append(w)
+    return tuple(tuple(sorted(v.items())) for v in basis + radical), tuple(weights)
+
+
+def test_darboux_gram_matrix_gives_the_covector_reduction():
+    # the Gram matrix of the pending vectors is updated by an exact
+    # division after each pair; the rows and weights stay those of the
+    # reduction that reads ω off covectors
+    cases = [(_form_algebra(g, form), g) for g, form in _random_forms(300)]
+    cases += [(alg, next(iter(liealg._series(alg)[0][0]))) for _, _, _, alg in _darboux_inputs()]
+    for alg, p in cases:
+        assert liealg._darboux(alg, p) == _covector_darboux(alg, p)
+    assert len(cases) == 300 + 34
+
+
 def test_last_term_of_a_heisenberg_base_change_needs_no_bracket(monkeypatch):
     # L^2 of H(5) is a line, the last nonzero term: the walk found its
     # [u, e_c] zero, and the generators are a Darboux basis, so the
@@ -831,3 +879,85 @@ def test_center_takes_the_kernel_on_the_adapted_table(monkeypatch, alg):
     assert center(alg) == table_center(alg)
     assert seen == [stacked_adjoint(adapted)]
     assert stacked_adjoint(adapted) != stacked_adjoint(alg)
+
+
+_linalg_cancel = linalg._cancel
+
+
+def _counted_cancel(counts, key):
+    def counted(v, piv, p):
+        counts[key] += 1
+        return _linalg_cancel(v, piv, p)
+    return counted
+
+
+def _echelon_key(echelon):
+    """An echelon with its order: pivots as stored, and each vector's entries as stored."""
+    return [(p, list(v.items())) for p, v in echelon.items()]
+
+
+def _growing_spans(count):
+    """Seeded tables whose brackets are combinations of a few vectors, some of them new.
+
+    Most brackets lie in the span of the brackets before them, so the
+    membership test starts and skips them; a bracket with a new vector
+    that sorts after a skipped one fails the test and is stored, and the
+    rows are reduced again for the brackets after it.
+    """
+    rng = Lcg(3200)
+    tables = []
+    for _ in range(count):
+        n = rng.randint(4, 8)
+        spanning = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        mapping = {}
+        for i, j in combinations(range(n), 2):
+            if not rng.randint(0, 5):
+                spanning.append([rng.randint(-2, 2) for _ in range(n)])
+            factors = [rng.randint(-2, 2) for _ in spanning]
+            mapping[(i, j)] = [(m, sum(f * u[m] for f, u in zip(factors, spanning))) for m in range(n)]
+        tables.append(liealg._make(n, 1, mapping))
+    return tables
+
+
+def test_derived_echelon_is_the_echelon_of_the_stored_brackets(monkeypatch):
+    # the same dict as _echelon of every stored bracket, in the same
+    # order: the skipped brackets would have reduced to 0 there
+    cases = _reference_inputs() + [(f"spans@{t}", alg) for t, alg in enumerate(_growing_spans(200))]
+    counts = {liealg: 0, linalg: 0}
+    for module in counts:
+        monkeypatch.setattr(module, "_cancel", _counted_cancel(counts, module))
+    rebuilds = []
+    back_substitute = liealg._back_substitute
+    monkeypatch.setattr(liealg, "_back_substitute", lambda e: rebuilds.append(len(e)) or back_substitute(e))
+    skipped = restored = 0
+    for label, alg in cases:
+        counts.update({liealg: 0, linalg: 0})
+        del rebuilds[:]
+        got = liealg._derived_echelon(alg.brackets)
+        counts[linalg] = 0  # drop the back-substitutions' cancellations
+        assert _echelon_key(got) == _echelon_key(linalg._echelon(c for _, _, c in alg.brackets)), label
+        # a skipped bracket saves the cancellations that reduced it to 0
+        skipped += bool(rebuilds) and counts[liealg] < counts[linalg]
+        # the rows are reduced again only after a bracket failed the test and was stored
+        restored += len(rebuilds) > 1 and rebuilds[-1] > rebuilds[0]
+    assert skipped > 300 and restored > 100
+
+
+def _dense_filiform_and_heisenberg():
+    n = 10
+    return (change_of_basis(_filiform(n), random_unimodular(n, Lcg(1), steps=12 * n)),
+            change_of_basis(heisenberg(5).algebra, random_unimodular(11, Lcg(1), steps=132)))
+
+
+def test_series_of_dense_filiform_and_heisenberg_cancels_little(monkeypatch):
+    # the echelon of the stored brackets took 292 and 54 cancellations
+    # when every bracket was eliminated: most reduce to 0
+    filiform, h5 = _dense_filiform_and_heisenberg()
+    counts = {"all": 0}
+    for module in (liealg, linalg):
+        monkeypatch.setattr(module, "_cancel", _counted_cancel(counts, "all"))
+    liealg._series(filiform)
+    assert 0 < counts["all"] <= 100
+    counts["all"] = 0
+    liealg._series(h5)
+    assert counts["all"] == 0
